@@ -12,18 +12,18 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .chebyshev import (CANONICAL, CHEBYSHEV, STANDARD, Interval,
                         PolynomialCoefficients, eval_scalar, interpolate)
 from .functions import resolve
-from .hutchinson import ProbeSequence
+from .hutchinson import ProbeSequence, estimate_trace
 from .operators import CountingOperator, DenseSymmetric, SparseSymmetric, \
     load_matrix_market, random_symmetric
-from .quadform import EVALUATORS
-from .spectrum import SpectralInterval, estimate_interval, scale_operator
+from .quadform import EVALUATORS, evaluator_basis
+from .spectrum import ScaledOperator, SpectralInterval, estimate_interval
 
 __all__ = ["BenchConfig", "run_estimate", "reproduce_experiment",
            "write_result", "write_probe_csv", "SCHEMA_VERSION"]
@@ -48,32 +48,26 @@ class BenchConfig:
     terms: bool = False
 
     def validate(self):
+        """Raise ValueError naming the first invalid setting."""
         if (self.matrix_path is None) == (self.synthetic_dim is None):
-            raise ValueError("exactly one of matrix_path / synthetic_dim must be set")
+            raise ValueError("give exactly one of a matrix file or a synthetic dimension")
         if self.synthetic_dim is not None and self.synthetic_dim < 1:
             raise ValueError("synthetic dimension must be >= 1")
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        if self.degree < 1:
+            raise ValueError("degree must be >= 1")
         if self.probes < 1:
             raise ValueError("probe count must be >= 1")
         for name in self.evaluators:
             if name not in EVALUATORS:
-                raise ValueError(f"unknown evaluator {name!r}; choose from {sorted(EVALUATORS)}")
+                raise ValueError(
+                    f"unknown evaluator {name!r}; choose from {', '.join(sorted(EVALUATORS))}")
         if not self.evaluators:
             raise ValueError("at least one evaluator must be selected")
+        resolve(self.function)
+        _user_interval(self.interval)
 
     def as_dict(self):
-        return {
-            "matrix_path": self.matrix_path,
-            "synthetic_dim": self.synthetic_dim,
-            "seed": self.seed,
-            "function": self.function,
-            "degree": self.degree,
-            "probes": self.probes,
-            "evaluators": list(self.evaluators),
-            "interval": self.interval,
-            "terms": self.terms,
-        }
+        return {**asdict(self), "evaluators": list(self.evaluators)}
 
 
 def _dense_entries(op):
@@ -84,23 +78,26 @@ def _dense_entries(op):
     raise ValueError("exact spectral interval requires a dense or sparse matrix operator")
 
 
-def _resolve_interval(op, spec: str, seed: int) -> tuple[SpectralInterval, str]:
-    if spec == "exact":
-        eigs = np.linalg.eigvalsh(_dense_entries(op))
-        return SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0), "exact"
-    if spec == "power":
-        return estimate_interval(op, iters=1000, tol=1e-12, seed=seed), "power"
+def _user_interval(spec: str) -> SpectralInterval | None:
+    """The explicit 'lo,hi' interval of ``spec``; None for 'exact' and 'power'."""
+    if spec in ("exact", "power"):
+        return None
     try:
         lo, hi = (float(t) for t in spec.split(","))
     except ValueError:
         raise ValueError(
             f"interval must be 'exact', 'power', or 'lo,hi'; got {spec!r}"
         ) from None
-    return SpectralInterval(lo, hi, 0.0), "user"
+    return SpectralInterval(lo, hi, 0.0)
 
 
-def _evaluator_basis(name: str) -> str:
-    return CHEBYSHEV if name.endswith("chebyshev") else STANDARD
+def _resolve_interval(op, spec: str, seed: int) -> tuple[SpectralInterval, str]:
+    if spec == "exact":
+        eigs = np.linalg.eigvalsh(_dense_entries(op))
+        return SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0), "exact"
+    if spec == "power":
+        return estimate_interval(op, iters=1000, tol=1e-12, seed=seed), "power"
+    return _user_interval(spec), "user"
 
 
 def _coefficients_for(evaluator_names, fspec, degree, interval: SpectralInterval):
@@ -110,13 +107,13 @@ def _coefficients_for(evaluator_names, fspec, degree, interval: SpectralInterval
     cheb = interpolate(lambda t: fspec.fn(domain.from_canonical(t)), degree, CANONICAL)
     out = {}
     for name in evaluator_names:
-        if _evaluator_basis(name) == CHEBYSHEV:
+        if evaluator_basis(name) == CHEBYSHEV:
             out[name] = cheb
         else:
             std = np.polynomial.chebyshev.cheb2poly(cheb.coeffs)
             std = np.concatenate([std, np.zeros(degree + 1 - std.size)])
             out[name] = PolynomialCoefficients(STANDARD, std)
-    return out, cheb
+    return out
 
 
 def _probe_checksum(seq: ProbeSequence, m: int) -> str:
@@ -134,32 +131,22 @@ def _rel_diff(a: float, b: float) -> float:
 def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, want_terms: bool):
     """Run every evaluator over the same m probes; return per-evaluator
     records, per-probe values/terms, and pairwise comparisons."""
-    seq = ProbeSequence(probe_seed, op.dim)
     records = {}
-    probe_values = {}
-    probe_terms = {}
+    estimates = {}
     for name, coeffs in coeffs_by_name.items():
         counter = CountingOperator(op)
-        ev = EVALUATORS[name]
         t0 = time.perf_counter()
-        reports = [ev(counter, seq.vector(i), coeffs, want_terms=want_terms)
-                   for i in range(m)]
+        est = estimate_trace(counter, coeffs, name, m, probe_seed, want_terms=want_terms)
         elapsed = time.perf_counter() - t0
-        values = [r.value for r in reports]
-        total = 0.0
-        for v in values:
-            total += v
         records[name] = {
-            "mean": total / m,
-            "sample_stddev": float(np.std(values, ddof=1)) if m > 1 else None,
+            "mean": est.mean,
+            "sample_stddev": est.sample_stddev,
             "m": m,
             "total_matvecs": counter.count,
-            "probe_values": values,
+            "probe_values": est.probe_values,
             "wall_time_seconds": elapsed,
         }
-        probe_values[name] = values
-        if want_terms:
-            probe_terms[name] = [r.terms for r in reports]
+        estimates[name] = est
 
     comparisons = {}
     names = list(coeffs_by_name)
@@ -169,13 +156,15 @@ def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, want_terms: bool):
                 "aggregate_relative_difference": _rel_diff(records[a]["mean"],
                                                            records[b]["mean"]),
                 "max_per_probe_relative_difference": max(
-                    _rel_diff(x, y) for x, y in zip(probe_values[a], probe_values[b])
+                    _rel_diff(x, y) for x, y in zip(estimates[a].probe_values,
+                                                    estimates[b].probe_values)
                 ),
             }
-            if want_terms and _evaluator_basis(a) == _evaluator_basis(b):
-                comp.update(_term_comparison(probe_terms[a], probe_terms[b]))
+            if want_terms and evaluator_basis(a) == evaluator_basis(b):
+                comp.update(_term_comparison(estimates[a].probe_terms,
+                                             estimates[b].probe_terms))
             comparisons[f"{a}|{b}"] = comp
-    return records, comparisons, _probe_checksum(seq, m)
+    return records, comparisons, _probe_checksum(ProbeSequence(probe_seed, op.dim), m)
 
 
 def _term_comparison(terms_a, terms_b):
@@ -209,9 +198,9 @@ def run_estimate(cfg: BenchConfig) -> dict:
     else:
         op = random_symmetric(cfg.synthetic_dim, cfg.seed)
     interval, interval_source = _resolve_interval(op, cfg.interval, cfg.seed)
-    scaled = scale_operator(op, interval)
+    scaled = ScaledOperator(op, interval)
     fspec = resolve(cfg.function)
-    coeffs_by_name, _ = _coefficients_for(cfg.evaluators, fspec, cfg.degree, interval)
+    coeffs_by_name = _coefficients_for(cfg.evaluators, fspec, cfg.degree, interval)
     records, comparisons, checksum = _paired_run(
         scaled, coeffs_by_name, cfg.probes, cfg.seed, cfg.terms)
     return {
@@ -248,7 +237,7 @@ def reproduce_experiment(dim: int = 200, trials: int = 100, degree: int = 20,
     A = random_symmetric(dim, matrix_seed)
     eigs = np.linalg.eigvalsh(A.entries)
     interval = SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0)
-    scaled = scale_operator(A, interval)
+    scaled = ScaledOperator(A, interval)
     scaled_eigs = (2.0 * eigs - eigs[0] - eigs[-1]) / (eigs[-1] - eigs[0])
 
     f = lambda x: math.exp(exp_rate * x)

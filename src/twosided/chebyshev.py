@@ -14,8 +14,6 @@ __all__ = [
     "Interval",
     "PolynomialCoefficients",
     "chebyshev_nodes",
-    "affine_to_canonical",
-    "affine_from_canonical",
     "interpolate",
     "eval_scalar",
     "save_coefficients",
@@ -47,14 +45,6 @@ class Interval:
 
 
 CANONICAL = Interval(-1.0, 1.0)
-
-
-def affine_to_canonical(interval: Interval, x):
-    return interval.to_canonical(x)
-
-
-def affine_from_canonical(interval: Interval, t):
-    return interval.from_canonical(t)
 
 
 @dataclass(frozen=True)

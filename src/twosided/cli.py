@@ -3,7 +3,7 @@
 Subcommands: ``interpolate`` (write a coefficient file), ``estimate`` (run
 selected evaluators over a shared probe sequence and write a result file),
 ``reproduce`` (paired one-sided vs two-sided Chebyshev benchmark), and
-``matvec-count`` (print the cost formula for a degree).
+``matvec-count`` (count the matvecs each evaluator spends at a degree).
 
 Exit codes: 0 success, 1 usage error, 2 numerical or validation error.
 """
@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 numerical or validation error.
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import click
@@ -19,10 +18,11 @@ import numpy as np
 
 from .bench import BenchConfig, reproduce_experiment, run_estimate, \
     write_probe_csv, write_result
-from .chebyshev import CANONICAL, Interval, interpolate, eval_scalar, \
-    save_coefficients
+from .chebyshev import Interval, PolynomialCoefficients, eval_scalar, \
+    interpolate, save_coefficients
 from .functions import UnknownFunctionError, resolve
-from .quadform import EVALUATORS
+from .operators import CountingOperator, DenseSymmetric
+from .quadform import EVALUATORS, evaluator_basis
 
 
 def _parse_interval(text: str) -> Interval:
@@ -87,16 +87,13 @@ def cmd_estimate(matrix_path, synthetic_dim, seed, func_spec, degree, probes,
                  evaluators, interval, terms, out, fmt):
     """Estimate trace p(A) with the selected evaluators over shared probes."""
     names = tuple(t.strip().replace("-", "_") for t in evaluators.split(",") if t.strip())
-    for name in names:
-        if name not in EVALUATORS:
-            raise click.UsageError(
-                f"unknown evaluator {name!r}; choose from {', '.join(sorted(EVALUATORS))}")
-    _resolve_function(func_spec)
     cfg = BenchConfig(matrix_path=matrix_path, synthetic_dim=synthetic_dim,
                       seed=seed, function=func_spec, degree=degree, probes=probes,
                       evaluators=names, interval=interval, terms=terms)
-    if (matrix_path is None) == (synthetic_dim is None):
-        raise click.UsageError("give exactly one of --matrix or --synthetic")
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     doc = run_estimate(cfg)
     if fmt in ("json", "both"):
         write_result(doc, out)
@@ -150,7 +147,8 @@ def cmd_reproduce(full, dim, trials, degree, out):
 @click.option("--evaluator", default=None,
               help="Evaluator name; omit for all four.")
 def cmd_matvec_count(degree, evaluator):
-    """Print the matvec cost for a degree-n evaluation."""
+    """Count the matvecs of a degree-n evaluation by running each evaluator
+    on a 1x1 operator."""
     if degree < 0:
         raise click.UsageError("degree must be >= 0")
     names = [evaluator.replace("-", "_")] if evaluator else sorted(EVALUATORS)
@@ -158,8 +156,10 @@ def cmd_matvec_count(degree, evaluator):
         if name not in EVALUATORS:
             raise click.UsageError(
                 f"unknown evaluator {name!r}; choose from {', '.join(sorted(EVALUATORS))}")
-        count = degree if name.startswith("one_sided") else math.ceil(degree / 2)
-        click.echo(f"{name}: {count}")
+        counter = CountingOperator(DenseSymmetric([[0.0]]))
+        coeffs = PolynomialCoefficients(evaluator_basis(name), np.zeros(degree + 1))
+        EVALUATORS[name](counter, [1.0], coeffs)
+        click.echo(f"{name}: {counter.count}")
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["FunctionSpec", "UnknownFunctionError", "resolve", "REGISTRY"]
+from .chebyshev import STANDARD, PolynomialCoefficients, eval_scalar
+
+__all__ = ["FunctionSpec", "UnknownFunctionError", "resolve"]
 
 _DEFAULT_EPS = 1e-2
 
@@ -25,7 +27,6 @@ class UnknownFunctionError(ValueError):
 class FunctionSpec:
     label: str
     fn: object  # scalar callable
-    poly_coeffs: tuple | None = None  # set for explicit standard-basis polynomials
 
 
 def _parse_floats(params: str, what: str):
@@ -51,7 +52,7 @@ def resolve(spec: str) -> FunctionSpec:
     name, _, params = spec.partition(":")
     name = name.strip()
     if name == "identity":
-        return FunctionSpec("identity", lambda x: x, poly_coeffs=(0.0, 1.0))
+        return FunctionSpec("identity", lambda x: x)
     if name == "exp_scaled":
         c = _one_param(params, None, "exp_scaled")
         return FunctionSpec(f"exp_scaled:{c:g}", lambda x: math.exp(c * x))
@@ -68,15 +69,6 @@ def resolve(spec: str) -> FunctionSpec:
         coeffs = _parse_floats(params, "poly")
         if not coeffs:
             raise UnknownFunctionError("poly requires at least one coefficient")
-
-        def horner(x, c=tuple(coeffs)):
-            r = 0.0
-            for a in reversed(c):
-                r = r * x + a
-            return r
-
-        return FunctionSpec(f"poly:{params}", horner, poly_coeffs=tuple(coeffs))
+        p = PolynomialCoefficients(STANDARD, coeffs)
+        return FunctionSpec(f"poly:{params}", lambda x: eval_scalar(p, x))
     raise UnknownFunctionError(f"unknown function {name!r}")
-
-
-REGISTRY = ("identity", "exp_scaled", "power", "inverse_shifted", "log_shifted", "poly")

@@ -14,7 +14,6 @@ from .quadform import EVALUATORS
 
 __all__ = [
     "ProbeSequence",
-    "rademacher",
     "TraceEstimate",
     "estimate_trace",
     "exact_trace_f",
@@ -41,16 +40,13 @@ class ProbeSequence:
         return 2.0 * rng.integers(0, 2, size=self.dim) - 1.0
 
 
-def rademacher(seq: ProbeSequence, i: int) -> np.ndarray:
-    return seq.vector(i)
-
-
 @dataclass
 class TraceEstimate:
     """Aggregate of m Hutchinson probes.
 
     ``mean`` is the probe values summed in index order divided by m;
     ``sample_stddev`` uses the m-1 denominator and is None for m = 1.
+    ``probe_terms`` holds each probe's per-term breakdown when requested.
     """
 
     mean: float
@@ -58,18 +54,21 @@ class TraceEstimate:
     m: int
     total_matvecs: int
     probe_values: list[float] = field(default_factory=list)
+    probe_terms: list[np.ndarray] | None = None
 
 
 def estimate_trace(op: SymmetricOperator, coeffs: PolynomialCoefficients,
                    evaluator, m: int, seed: int,
-                   max_workers: int | None = None) -> TraceEstimate:
+                   max_workers: int | None = None,
+                   want_terms: bool = False) -> TraceEstimate:
     """Hutchinson estimate of trace p(A) using ``m`` probes.
 
     ``evaluator`` is one of the four quadform evaluators, given as a name
     from :data:`twosided.quadform.EVALUATORS` or as the callable itself.
     Probes may be evaluated in parallel (``max_workers > 1``); results are
     reduced in probe-index order either way, so the estimate is a pure
-    function of the arguments.
+    function of the arguments. ``want_terms`` keeps each probe's per-term
+    breakdown in ``probe_terms``.
     """
     if m < 1:
         raise ValueError(f"number of probes must be >= 1, got m={m}")
@@ -77,7 +76,7 @@ def estimate_trace(op: SymmetricOperator, coeffs: PolynomialCoefficients,
     seq = ProbeSequence(seed, op.dim)
 
     def probe(i):
-        return ev(op, seq.vector(i), coeffs)
+        return ev(op, seq.vector(i), coeffs, want_terms=want_terms)
 
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -92,7 +91,8 @@ def estimate_trace(op: SymmetricOperator, coeffs: PolynomialCoefficients,
     mean = total / m
     stddev = float(np.std(values, ddof=1)) if m > 1 else None
     matvecs = sum(r.matvecs for r in reports)
-    return TraceEstimate(mean, stddev, m, matvecs, values)
+    terms = [r.terms for r in reports] if want_terms else None
+    return TraceEstimate(mean, stddev, m, matvecs, values, terms)
 
 
 def exact_trace_f(A: DenseSymmetric, f) -> float:

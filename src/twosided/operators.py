@@ -8,6 +8,7 @@ this package is measured in.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -20,7 +21,6 @@ __all__ = [
     "MatrixMarketError",
     "random_symmetric",
     "load_matrix_market",
-    "matvec",
 ]
 
 
@@ -40,11 +40,6 @@ class SymmetricOperator:
                 f"{self.dim}, received length {v.size if v.ndim == 1 else v.shape}"
             )
         return v
-
-
-def matvec(op: SymmetricOperator, v) -> np.ndarray:
-    """Apply ``op`` to ``v``; module-level convenience alias."""
-    return op.matvec(v)
 
 
 class DenseSymmetric(SymmetricOperator):
@@ -87,31 +82,31 @@ class SparseSymmetric(SymmetricOperator):
             raise ValueError("indptr must have length dim + 1")
         if self.indices.shape != self.data.shape:
             raise ValueError("indices and data must have equal length")
-        for i in range(self.dim):
-            row = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            if row.size and not np.all(np.diff(row) > 0):
-                raise ValueError(f"column indices not strictly increasing in row {i}")
+        counts = np.diff(self.indptr)
+        if self.indptr[0] != 0 or np.any(counts < 0) or self.indptr[-1] != self.indices.size:
+            raise ValueError("indptr must rise from 0 to the number of stored entries")
+        # expanded row index for a vectorized, deterministic matvec
+        self._rows = np.repeat(np.arange(self.dim), counts)
+        unordered = (self._rows[1:] == self._rows[:-1]) & (np.diff(self.indices) <= 0)
+        if np.any(unordered):
+            row = int(self._rows[1:][unordered][0])
+            raise ValueError(f"column indices not strictly increasing in row {row}")
         if np.any(self.indices < 0) or np.any(self.indices >= self.dim):
             raise ValueError("column index out of range")
         self._validate_symmetry()
-        # expanded row index for a vectorized, deterministic matvec
-        self._rows = np.repeat(np.arange(self.dim), np.diff(self.indptr))
         for arr in (self.indptr, self.indices, self.data, self._rows):
             arr.setflags(write=False)
 
     def _validate_symmetry(self):
-        order_rc = np.lexsort((self.indices, self._row_index()))
-        order_cr = np.lexsort((self._row_index(), self.indices))
-        rows = self._row_index()
+        rows = self._rows
+        order_rc = np.lexsort((self.indices, rows))
+        order_cr = np.lexsort((rows, self.indices))
         if not (
             np.array_equal(rows[order_rc], self.indices[order_cr])
             and np.array_equal(self.indices[order_rc], rows[order_cr])
             and np.array_equal(self.data[order_rc], self.data[order_cr])
         ):
             raise ValueError("sparse pattern or values are not symmetric")
-
-    def _row_index(self):
-        return np.repeat(np.arange(self.dim), np.diff(self.indptr))
 
     @classmethod
     def from_coo(cls, dim, rows, cols, values):
@@ -156,10 +151,6 @@ class CountingOperator(SymmetricOperator):
     @property
     def count(self) -> int:
         return self._count
-
-    def reset(self):
-        with self._lock:
-            self._count = 0
 
     def matvec(self, v):
         with self._lock:
@@ -258,6 +249,8 @@ def _build_coordinate(d, nnz, entries, symmetry):
             v = float(tokens[2])
         except ValueError:
             raise MatrixMarketError(f"line {line_no}: non-numeric token in {tokens!r}") from None
+        if not math.isfinite(v):
+            raise MatrixMarketError(f"line {line_no}: non-finite value {tokens[2]!r}")
         if not (1 <= i <= d and 1 <= j <= d):
             raise MatrixMarketError(f"line {line_no}: index ({i},{j}) out of range for dimension {d}")
         rows.append(i - 1)
@@ -272,15 +265,20 @@ def _build_coordinate(d, nnz, entries, symmetry):
     return SparseSymmetric.from_coo(d, rows, cols, vals)
 
 
-def _symmetrize_coo(d, rows, cols, vals):
-    M = np.zeros((d, d))
-    np.add.at(M, (rows, cols), vals)
+def _symmetrized(M):
+    """(M + M^T) / 2 of a 'general' matrix that must be symmetric to 1e-12 relative."""
     scale = np.max(np.abs(M)) if M.size else 0.0
     if scale and np.max(np.abs(M - M.T)) > _SYMMETRY_RTOL * scale:
         raise MatrixMarketError(
             "matrix declared 'general' is not symmetric to within 1e-12 relative"
         )
-    M = (M + M.T) / 2.0
+    return (M + M.T) / 2.0
+
+
+def _symmetrize_coo(d, rows, cols, vals):
+    M = np.zeros((d, d))
+    np.add.at(M, (rows, cols), vals)
+    M = _symmetrized(M)
     r, c = np.nonzero(M)
     return r, c, M[r, c]
 
@@ -290,9 +288,12 @@ def _build_array(d, entries, symmetry):
     for line_no, tokens in entries:
         for tok in tokens:
             try:
-                values.append(float(tok))
+                v = float(tok)
             except ValueError:
                 raise MatrixMarketError(f"line {line_no}: non-numeric token {tok!r}") from None
+            if not math.isfinite(v):
+                raise MatrixMarketError(f"line {line_no}: non-finite value {tok!r}")
+            values.append(v)
     M = np.zeros((d, d))
     if symmetry == "symmetric":
         # lower triangle, column-major
@@ -312,11 +313,5 @@ def _build_array(d, entries, symmetry):
             raise MatrixMarketError(
                 f"expected {d * d} array values, found {len(values)}"
             )
-        M = np.asarray(values).reshape((d, d), order="F")
-        scale = np.max(np.abs(M)) if M.size else 0.0
-        if scale and np.max(np.abs(M - M.T)) > _SYMMETRY_RTOL * scale:
-            raise MatrixMarketError(
-                "matrix declared 'general' is not symmetric to within 1e-12 relative"
-            )
-        M = (M + M.T) / 2.0
+        M = _symmetrized(np.asarray(values).reshape((d, d), order="F"))
     return DenseSymmetric(M)

@@ -6,10 +6,15 @@ two-sided evaluators exploit symmetry of A (and, in the Chebyshev case, the
 product identity T_j T_k = (T_{j+k} + T_{|k-j|}) / 2) to get the same value
 with ceil(n/2) matvecs, keeping only the two most recent iterates.
 
-Degenerate degrees for the two-sided Chebyshev route: n = 0 performs no
-matvec and returns alpha_0 (z.z); n = 1 performs one matvec and adds
-alpha_1 (z.Az); n >= 2 uses the full initialization. This keeps the matvec
-count at exactly ceil(n/2) for every degree.
+The four routes are two routines, :func:`_one_sided` and :func:`_two_sided`,
+bound to a basis. The basis selects only the recurrence step (``A z_j``, or
+``2 A z_j - z_{j-1}`` after the first Chebyshev step T_1(A) z = A z) and, on
+the two-sided route, the ``2(.) - zeta`` correction that turns an iterate
+product into z^T T_k(A) z.
+
+Degenerate degrees for the two-sided route: n = 0 performs no matvec and
+returns alpha_0 (z.z); n = 1 performs one matvec and adds alpha_1 (z.Az).
+This keeps the matvec count at exactly ceil(n/2) for every degree.
 
 Chebyshev-basis evaluators apply the recurrence to A as given; the caller
 is responsible for scaling the operator so its spectrum lies in [-1, 1]
@@ -19,6 +24,7 @@ is responsible for scaling the operator so its spectrum lies in [-1, 1]
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +38,7 @@ __all__ = [
     "one_sided_chebyshev",
     "two_sided_chebyshev",
     "EVALUATORS",
+    "evaluator_basis",
 ]
 
 
@@ -45,155 +52,78 @@ class EvalReport:
     terms: np.ndarray | None = None
 
 
-def _require_basis(coeffs: PolynomialCoefficients, basis: str):
-    if coeffs.basis != basis:
-        raise ValueError(
-            f"evaluator requires {basis}-basis coefficients, got {coeffs.basis}"
-        )
-
-
 def _dot(u, v) -> float:
     return float(np.dot(u, v))
 
 
-def one_sided_standard(op: SymmetricOperator, z, coeffs: PolynomialCoefficients,
-                       want_terms: bool = False) -> EvalReport:
-    """Baseline: iterate z_j = A z_{j-1} and accumulate alpha_j (z . z_j).
-
-    Uses n matvecs for a degree-n polynomial.
-    """
-    _require_basis(coeffs, STANDARD)
-    a = coeffs.coeffs
-    n = a.size - 1
+def _start(basis: str, z, coeffs: PolynomialCoefficients):
+    """Basis check, z as float64, z.z, and the per-term array holding
+    alpha_0 (z.z)."""
+    if coeffs.basis != basis:
+        raise ValueError(
+            f"evaluator requires {basis}-basis coefficients, got {coeffs.basis}"
+        )
     z0 = np.asarray(z, dtype=np.float64)
-    terms = np.zeros(n + 1) if want_terms else None
-    s = a[0] * _dot(z0, z0)
-    if terms is not None:
-        terms[0] = s
-    zj = z0
-    matvecs = 0
-    for j in range(1, n + 1):
-        zj = op.matvec(zj)
-        matvecs += 1
-        t = a[j] * _dot(z0, zj)
+    zeta0 = _dot(z0, z0)
+    terms = np.zeros(coeffs.coeffs.size)
+    terms[0] = coeffs.coeffs[0] * zeta0
+    return z0, zeta0, terms
+
+
+def _one_sided(basis: str, op: SymmetricOperator, z, coeffs: PolynomialCoefficients,
+               want_terms: bool = False) -> EvalReport:
+    """Baseline: build z_j = A^j z or T_j(A) z for j = 1..n and accumulate
+    alpha_j (z . z_j). Uses n matvecs for a degree-n polynomial."""
+    z0, _, terms = _start(basis, z, coeffs)
+    a, s = coeffs.coeffs, terms[0]
+    cheb = basis == CHEBYSHEV
+    zprev, zj = None, z0
+    for j in range(1, a.size):
+        w = op.matvec(zj)
+        zprev, zj = zj, (2.0 * w - zprev if cheb and j > 1 else w)
+        terms[j] = t = a[j] * _dot(z0, zj)
         s += t
-        if terms is not None:
-            terms[j] = t
-    return EvalReport(float(s), matvecs, terms)
+    return EvalReport(float(s), a.size - 1, terms if want_terms else None)
 
 
-def two_sided_standard(op: SymmetricOperator, z, coeffs: PolynomialCoefficients,
-                       want_terms: bool = False) -> EvalReport:
-    """Two-sided evaluation in the standard basis: ceil(n/2) matvecs.
+def _two_sided(basis: str, op: SymmetricOperator, z, coeffs: PolynomialCoefficients,
+               want_terms: bool = False) -> EvalReport:
+    """Two-sided evaluation: ceil(n/2) matvecs.
 
-    Uses z^T A^{2j} z = (A^j z).(A^j z) and z^T A^{2j-1} z =
-    (A^{j-1} z).(A^j z), so only z_{j-1} and z_j are kept.
-    """
-    _require_basis(coeffs, STANDARD)
-    a = coeffs.coeffs
-    n = a.size - 1
-    z0 = np.asarray(z, dtype=np.float64)
-    terms = np.zeros(n + 1) if want_terms else None
-    s = a[0] * _dot(z0, z0)
-    if terms is not None:
-        terms[0] = s
-    zprev = z0
-    matvecs = 0
-    for j in range(1, (n + 1) // 2 + 1):
-        zj = op.matvec(zprev)
-        matvecs += 1
-        t = a[2 * j - 1] * _dot(zprev, zj)
-        s += t
-        if terms is not None:
-            terms[2 * j - 1] = t
-        if n == 2 * j - 1:
-            break
-        t = a[2 * j] * _dot(zj, zj)
-        s += t
-        if terms is not None:
-            terms[2 * j] = t
-        zprev = zj
-    return EvalReport(float(s), matvecs, terms)
-
-
-def one_sided_chebyshev(op: SymmetricOperator, z, coeffs: PolynomialCoefficients,
-                        want_terms: bool = False) -> EvalReport:
-    """Baseline Chebyshev route: build z_j = T_j(A) z by the three-term
-    recurrence and accumulate alpha_j (z . z_j). Uses n matvecs."""
-    _require_basis(coeffs, CHEBYSHEV)
-    a = coeffs.coeffs
-    n = a.size - 1
-    z0 = np.asarray(z, dtype=np.float64)
-    terms = np.zeros(n + 1) if want_terms else None
-    s = a[0] * _dot(z0, z0)
-    if terms is not None:
-        terms[0] = s
-    matvecs = 0
-    if n >= 1:
-        wprev, wj = z0, op.matvec(z0)
-        matvecs += 1
-        t = a[1] * _dot(z0, wj)
-        s += t
-        if terms is not None:
-            terms[1] = t
-        for j in range(2, n + 1):
-            wprev, wj = wj, 2.0 * op.matvec(wj) - wprev
-            matvecs += 1
-            t = a[j] * _dot(z0, wj)
-            s += t
-            if terms is not None:
-                terms[j] = t
-    return EvalReport(float(s), matvecs, terms)
-
-
-def two_sided_chebyshev(op: SymmetricOperator, z, coeffs: PolynomialCoefficients,
-                        want_terms: bool = False) -> EvalReport:
-    """Two-sided evaluation in the Chebyshev basis: ceil(n/2) matvecs.
-
-    Builds z_j = T_j(A) z only up to j = ceil(n/2) and recovers the
-    high-order terms through
-    z^T T_{2j}(A) z = 2 (z_j . z_j) - (z . z) and
+    Builds z_j only up to j = ceil(n/2) and recovers every term from
+    products of consecutive iterates. Standard basis:
+    z^T A^{2j} z = z_j . z_j and z^T A^{2j-1} z = z_{j-1} . z_j.
+    Chebyshev basis:
+    z^T T_{2j}(A) z = 2 (z_j . z_j) - (z . z) and, for j >= 2,
     z^T T_{2j-1}(A) z = 2 (z_{j-1} . z_j) - (z . Az).
     """
-    _require_basis(coeffs, CHEBYSHEV)
-    a = coeffs.coeffs
-    n = a.size - 1
-    z0 = np.asarray(z, dtype=np.float64)
-    terms = np.zeros(n + 1) if want_terms else None
-    zeta0 = _dot(z0, z0)
-    s = a[0] * zeta0
-    if terms is not None:
-        terms[0] = s
-    if n == 0:
-        return EvalReport(float(s), 0, terms)
-    z1 = op.matvec(z0)
-    matvecs = 1
-    zeta1 = _dot(z0, z1)
-    t = a[1] * zeta1
-    s += t
-    if terms is not None:
-        terms[1] = t
-    if n >= 2:
-        t = a[2] * (2.0 * _dot(z1, z1) - zeta0)
+    z0, zeta0, terms = _start(basis, z, coeffs)
+    a, s = coeffs.coeffs, terms[0]
+    n, half = a.size - 1, a.size // 2
+    cheb = basis == CHEBYSHEV
+    zprev, zj = None, z0
+    for j in range(1, half + 1):
+        w = op.matvec(zj)
+        zprev, zj = zj, (2.0 * w - zprev if cheb and j > 1 else w)
+        odd = _dot(zprev, zj)
+        if j == 1:
+            zeta1 = odd
+        elif cheb:
+            odd = 2.0 * odd - zeta1
+        terms[2 * j - 1] = t = a[2 * j - 1] * odd
         s += t
-        if terms is not None:
-            terms[2] = t
-    zprev, zj = z0, z1
-    for j in range(2, (n + 1) // 2 + 1):
-        zprev, zj = zj, 2.0 * op.matvec(zj) - zprev
-        matvecs += 1
-        t = a[2 * j - 1] * (2.0 * _dot(zprev, zj) - zeta1)
-        s += t
-        if terms is not None:
-            terms[2 * j - 1] = t
-        if n == 2 * j - 1:
+        if 2 * j > n:
             break
-        t = a[2 * j] * (2.0 * _dot(zj, zj) - zeta0)
+        even = _dot(zj, zj)
+        terms[2 * j] = t = a[2 * j] * (2.0 * even - zeta0 if cheb else even)
         s += t
-        if terms is not None:
-            terms[2 * j] = t
-    return EvalReport(float(s), matvecs, terms)
+    return EvalReport(float(s), half, terms if want_terms else None)
 
+
+one_sided_standard = partial(_one_sided, STANDARD)
+two_sided_standard = partial(_two_sided, STANDARD)
+one_sided_chebyshev = partial(_one_sided, CHEBYSHEV)
+two_sided_chebyshev = partial(_two_sided, CHEBYSHEV)
 
 EVALUATORS = {
     "one_sided_standard": one_sided_standard,
@@ -201,3 +131,8 @@ EVALUATORS = {
     "one_sided_chebyshev": one_sided_chebyshev,
     "two_sided_chebyshev": two_sided_chebyshev,
 }
+
+
+def evaluator_basis(name: str) -> str:
+    """The coefficient basis the evaluator called ``name`` requires."""
+    return CHEBYSHEV if name.endswith("chebyshev") else STANDARD

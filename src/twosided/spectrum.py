@@ -9,7 +9,7 @@ import numpy as np
 
 from .operators import SymmetricOperator
 
-__all__ = ["SpectralInterval", "ScaledOperator", "estimate_interval", "scale_operator"]
+__all__ = ["SpectralInterval", "ScaledOperator", "estimate_interval"]
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,6 @@ class ScaledOperator(SymmetricOperator):
     def matvec(self, v):
         v = self._check_vector(v)
         return (2.0 * self.inner.matvec(v) - self._shift * v) / self._width
-
-
-def scale_operator(op: SymmetricOperator, interval: SpectralInterval) -> ScaledOperator:
-    return ScaledOperator(op, interval)
 
 
 def _power_iteration(apply_fn, dim, iters, tol, rng):

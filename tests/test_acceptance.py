@@ -15,13 +15,13 @@ from twosided.hutchinson import ProbeSequence, estimate_trace, exact_trace_f
 from twosided.operators import CountingOperator, DenseSymmetric, random_symmetric
 from twosided.quadform import (EVALUATORS, one_sided_chebyshev,
                                two_sided_chebyshev, two_sided_standard)
-from twosided.spectrum import SpectralInterval, estimate_interval, scale_operator
+from twosided.spectrum import ScaledOperator, SpectralInterval, estimate_interval
 
 
 def scaled_exactly(A):
     eigs = np.linalg.eigvalsh(A.entries)
     iv = SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0)
-    return scale_operator(A, iv), (2 * eigs - eigs[0] - eigs[-1]) / (eigs[-1] - eigs[0])
+    return ScaledOperator(A, iv), (2 * eigs - eigs[0] - eigs[-1]) / (eigs[-1] - eigs[0])
 
 
 def test_criterion_1_matvec_count_halving():

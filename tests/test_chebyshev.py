@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twosided.chebyshev import (CHEBYSHEV, STANDARD, Interval,
-                                PolynomialCoefficients, affine_to_canonical,
+                                PolynomialCoefficients,
                                 chebyshev_nodes, eval_scalar, interpolate,
                                 load_coefficients, save_coefficients)
 
@@ -119,13 +119,13 @@ class TestEvalScalar:
 
 class TestAffineMap:
     def test_identity_interval(self):
-        assert affine_to_canonical(Interval(-1, 1), 0.3) == pytest.approx(0.3, abs=1e-16)
+        assert Interval(-1, 1).to_canonical(0.3) == pytest.approx(0.3, abs=1e-16)
 
     def test_endpoint(self):
-        assert affine_to_canonical(Interval(0, 10), 10.0) == 1.0
+        assert Interval(0, 10).to_canonical(10.0) == 1.0
 
     def test_midpoint(self):
-        assert affine_to_canonical(Interval(0, 10), 5.0) == 0.0
+        assert Interval(0, 10).to_canonical(5.0) == 0.0
 
     def test_roundtrip(self):
         iv = Interval(-3.0, 7.5)

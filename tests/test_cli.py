@@ -50,6 +50,13 @@ class TestInterpolateCommand:
         p = load_coefficients(out)
         assert np.allclose(p.coeffs, [0.5, 0.0, 0.5], atol=1e-15)
 
+    def test_poly(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert run("interpolate", "--function", "poly:1,0,0.5",
+                   "--degree", "2", "--out", str(out)) == 0
+        p = load_coefficients(out)
+        assert np.allclose(p.coeffs, [1.25, 0.0, 0.25], atol=1e-15)
+
     def test_unknown_function_is_usage_error(self, tmp_path):
         assert run("interpolate", "--function", "sinc", "--degree", "3",
                    "--out", str(tmp_path / "c.json")) == 1
@@ -100,6 +107,27 @@ class TestEstimateCommand:
         assert run("estimate", "--synthetic", "10", "--evaluators", "magic",
                    "--out", str(tmp_path / "r.json")) == 1
 
+    @pytest.mark.parametrize("args", [
+        ("--degree", "0"),
+        ("--probes", "0"),
+        ("--function", "sinc"),
+        ("--interval", "wide"),
+        ("--interval", "1,-1"),
+    ])
+    def test_invalid_configuration_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "r.json"
+        assert run("estimate", "--synthetic", "10", *args, "--out", str(out)) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_matrix_entry_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "2 2 2\n1 1 1.0\n2 2 nan\n")
+        assert run("estimate", "--matrix", str(bad),
+                   "--out", str(tmp_path / "r.json")) == 2
+        assert "line 4: non-finite value" in capsys.readouterr().err
+
     def test_bad_matrix_file_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.mtx"
         bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 oops\n")
@@ -138,6 +166,12 @@ class TestMatvecCountCommand:
         assert run("matvec-count", "--degree", "20",
                    "--evaluator", "two-sided-standard") == 0
         assert "two_sided_standard: 10" in capsys.readouterr().out
+
+    def test_degree_zero(self, capsys):
+        assert run("matvec-count", "--degree", "0") == 0
+        assert capsys.readouterr().out.split() == [
+            "one_sided_chebyshev:", "0", "one_sided_standard:", "0",
+            "two_sided_chebyshev:", "0", "two_sided_standard:", "0"]
 
 
 def test_no_subcommand_is_usage_error():

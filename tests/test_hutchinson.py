@@ -6,15 +6,15 @@ import scipy.linalg
 
 from twosided.chebyshev import CHEBYSHEV, PolynomialCoefficients, eval_scalar, \
     interpolate
-from twosided.hutchinson import (ProbeSequence, estimate_trace, exact_trace_f,
-                                 rademacher)
+from twosided.hutchinson import ProbeSequence, estimate_trace, exact_trace_f
 from twosided.operators import DenseSymmetric, random_symmetric
-from twosided.spectrum import SpectralInterval, scale_operator
+from twosided.quadform import EVALUATORS
+from twosided.spectrum import ScaledOperator, SpectralInterval
 
 
 class TestRademacher:
     def test_entries_are_signs(self):
-        z = rademacher(ProbeSequence(42, 4), 0)
+        z = ProbeSequence(42, 4).vector(0)
         assert np.all(np.abs(z) == 1.0)
 
     def test_determinism(self):
@@ -30,7 +30,7 @@ class TestRademacher:
         assert np.array_equal(seq.vector(5), later_first)
 
     def test_mean_concentration(self):
-        z = rademacher(ProbeSequence(9, 10_000), 0)
+        z = ProbeSequence(9, 10_000).vector(0)
         assert abs(np.mean(z)) <= 4 / math.sqrt(10_000)
 
     def test_negative_index_rejected(self):
@@ -61,10 +61,24 @@ class TestEstimateTrace:
         tol = 4 * est.sample_stddev / math.sqrt(500) + 500 * np.finfo(float).eps * abs(exact)
         assert abs(est.mean - exact) <= tol
 
+    def test_probe_terms(self):
+        A = random_symmetric(30, 2)
+        eigs = np.linalg.eigvalsh(A.entries)
+        S = ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+        p = interpolate(lambda x: math.exp(2 * x), 9)
+        est = estimate_trace(S, p, "two_sided_chebyshev", m=4, seed=6, want_terms=True)
+        assert len(est.probe_terms) == 4
+        for i, terms in enumerate(est.probe_terms):
+            r = EVALUATORS["two_sided_chebyshev"](S, ProbeSequence(6, 30).vector(i), p,
+                                                  want_terms=True)
+            assert np.array_equal(terms, r.terms)
+            assert r.value == est.probe_values[i]
+        assert estimate_trace(S, p, "two_sided_chebyshev", m=4, seed=6).probe_terms is None
+
     def test_single_probe_cross_method(self):
         A = random_symmetric(60, 5)
         eigs = np.linalg.eigvalsh(A.entries)
-        S = scale_operator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+        S = ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
         p = interpolate(lambda x: math.exp(10 * x), 20)
         one = estimate_trace(S, p, "one_sided_chebyshev", m=1, seed=3)
         two = estimate_trace(S, p, "two_sided_chebyshev", m=1, seed=3)
@@ -113,7 +127,7 @@ class TestEstimateTrace:
     def test_unbiased_over_seeds(self):
         A = random_symmetric(40, 20)
         eigs = np.linalg.eigvalsh(A.entries)
-        op = scale_operator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+        op = ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
         scaled_eigs = (2 * eigs - eigs[0] - eigs[-1]) / (eigs[-1] - eigs[0])
         p = interpolate(math.exp, 8)
         exact = sum(eval_scalar(p, lam) for lam in scaled_eigs)

@@ -87,6 +87,17 @@ def test_sparse_rejects_asymmetric_pattern():
         SparseSymmetric.from_coo(2, [0], [1], [1.0])
 
 
+def test_sparse_rejects_unordered_row():
+    # rows 0 and 1 are in order; row 2 repeats column 1
+    with pytest.raises(ValueError, match="not strictly increasing in row 2"):
+        SparseSymmetric(3, [0, 2, 4, 6], [0, 2, 1, 2, 1, 1], np.ones(6))
+
+
+def test_sparse_rejects_bad_indptr():
+    with pytest.raises(ValueError, match="indptr"):
+        SparseSymmetric(2, [0, 2, 1], [0, 1], [1.0, 1.0])
+
+
 class TestRandomSymmetric:
     def test_dim_one(self):
         op = random_symmetric(1, 3)
@@ -196,6 +207,31 @@ class TestMatrixMarket:
             "2 2\n1\n2\n4\n")
         op = load_matrix_market(path)
         assert np.allclose(op.entries, [[1.0, 2.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_coordinate_non_finite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "2 2 2\n"
+            "1 1 2\n"
+            f"2 2 {value}\n")
+        with pytest.raises(MatrixMarketError, match="line 4: non-finite value"):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_array_non_finite_value_reports_line(self, tmp_path, symmetry):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            f"%%MatrixMarket matrix array real {symmetry}\n"
+            "% comment\n"
+            "2 2\n"
+            "1.0\n"
+            "NaN\n"
+            "NaN\n"
+            "1.0\n")
+        with pytest.raises(MatrixMarketError, match="line 5: non-finite value"):
+            load_matrix_market(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "b.mtx"

@@ -10,7 +10,7 @@ from twosided.operators import CountingOperator, DenseSymmetric, random_symmetri
 from twosided.quadform import (EVALUATORS, one_sided_chebyshev,
                                one_sided_standard, two_sided_chebyshev,
                                two_sided_standard)
-from twosided.spectrum import SpectralInterval, scale_operator
+from twosided.spectrum import ScaledOperator, SpectralInterval
 
 
 def std(coeffs):
@@ -24,7 +24,7 @@ def cheb(coeffs):
 def scaled_random(d, seed):
     A = random_symmetric(d, seed)
     eigs = np.linalg.eigvalsh(A.entries)
-    return scale_operator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+    return ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
 
 
 class TestOneSidedStandard:
@@ -68,7 +68,7 @@ class TestTwoSidedStandard:
         A = random_symmetric(100, 2)
         z = ProbeSequence(0, 100).vector(0)
         eigs = np.linalg.eigvalsh(A.entries)
-        S = scale_operator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+        S = ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
         alpha = np.random.default_rng(4).standard_normal(21)
         one = one_sided_standard(S, z, std(alpha))
         two = two_sided_standard(S, z, std(alpha))
@@ -154,6 +154,7 @@ class TestMatvecCounts:
             expected = n if name.startswith("one_sided") else (n + 1) // 2
             assert counter.count == expected
             assert r.matvecs == expected
+            assert r.matvecs == counter.count
 
 
 class TestCrossMethodAgreement:

@@ -6,8 +6,7 @@ import pytest
 from twosided.chebyshev import interpolate
 from twosided.hutchinson import estimate_trace, exact_trace_f
 from twosided.operators import CountingOperator, DenseSymmetric, random_symmetric
-from twosided.spectrum import (ScaledOperator, SpectralInterval,
-                               estimate_interval, scale_operator)
+from twosided.spectrum import ScaledOperator, SpectralInterval, estimate_interval
 
 
 class TestEstimateInterval:
@@ -53,12 +52,12 @@ class TestEstimateInterval:
 class TestScaleOperator:
     def test_endpoints_map_to_unit(self):
         op = DenseSymmetric(np.diag([1.0, 3.0]))
-        S = scale_operator(op, SpectralInterval(1.0, 3.0, 0.0))
+        S = ScaledOperator(op, SpectralInterval(1.0, 3.0, 0.0))
         assert np.allclose(S.matvec([1.0, 1.0]), [-1.0, 1.0])
 
     def test_identity_scaling(self):
         op = random_symmetric(40, 3)
-        S = scale_operator(op, SpectralInterval(-1.0, 1.0, 0.0))
+        S = ScaledOperator(op, SpectralInterval(-1.0, 1.0, 0.0))
         rng = np.random.default_rng(0)
         for _ in range(5):
             v = rng.standard_normal(40)
@@ -68,7 +67,7 @@ class TestScaleOperator:
     def test_exact_scaling_gives_unit_extremes(self):
         op = random_symmetric(100, 8)
         eigs = np.linalg.eigvalsh(op.entries)
-        S = scale_operator(op, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+        S = ScaledOperator(op, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
         M = np.column_stack([S.matvec(e) for e in np.eye(100)])
         scaled_eigs = np.linalg.eigvalsh((M + M.T) / 2)
         assert scaled_eigs[0] == pytest.approx(-1.0, abs=1e-10)
@@ -78,7 +77,7 @@ class TestScaleOperator:
         op = random_symmetric(50, 9)
         eigs = np.linalg.eigvalsh(op.entries)
         iv = SpectralInterval(float(eigs[0]) - 0.5, float(eigs[-1]) + 0.25, 0.0)
-        S = scale_operator(op, iv)
+        S = ScaledOperator(op, iv)
         M = np.column_stack([S.matvec(e) for e in np.eye(50)])
         scaled = np.linalg.eigvalsh((M + M.T) / 2)
         want = (2 * eigs - iv.lo - iv.hi) / (iv.hi - iv.lo)
@@ -86,7 +85,7 @@ class TestScaleOperator:
 
     def test_matvec_cost_transparency(self):
         counter = CountingOperator(random_symmetric(20, 1))
-        S = scale_operator(counter, SpectralInterval(-2.0, 2.0, 0.0))
+        S = ScaledOperator(counter, SpectralInterval(-2.0, 2.0, 0.0))
         v = np.ones(20)
         for k in range(1, 5):
             S.matvec(v)
@@ -103,7 +102,7 @@ def test_function_composition_consistency():
     A = random_symmetric(60, 12)
     eigs = np.linalg.eigvalsh(A.entries)
     lo, hi = float(eigs[0]), float(eigs[-1])
-    S = scale_operator(A, SpectralInterval(lo, hi, 0.0))
+    S = ScaledOperator(A, SpectralInterval(lo, hi, 0.0))
     f = lambda x: math.exp(0.5 * x)
     g = lambda t: f(0.5 * ((hi - lo) * t + lo + hi))
     p = interpolate(g, 25)
