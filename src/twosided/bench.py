@@ -97,7 +97,16 @@ def _resolve_interval(op, spec: str, seed: int) -> tuple[SpectralInterval, str]:
         return SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0), "exact"
     if spec == "power":
         return estimate_interval(op, iters=1000, tol=1e-12, seed=seed), "power"
-    return _user_interval(spec), "user"
+    interval = _user_interval(spec)
+    # a_ii = e_i^T A e_i is a Rayleigh quotient, so it lies in [lambda_min, lambda_max]
+    diag = op.diagonal()
+    outside = np.flatnonzero((diag < interval.lo) | (diag > interval.hi))
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(
+            f"interval [{interval.lo!r}, {interval.hi!r}] does not contain the spectrum: "
+            f"diagonal entry ({i + 1},{i + 1}) = {float(diag[i])!r} lies outside it")
+    return interval, "user"
 
 
 def _coefficients_for(evaluator_names, fspec, degree, interval: SpectralInterval):

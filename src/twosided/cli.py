@@ -18,11 +18,9 @@ import numpy as np
 
 from .bench import BenchConfig, reproduce_experiment, run_estimate, \
     write_probe_csv, write_result
-from .chebyshev import Interval, PolynomialCoefficients, eval_scalar, \
-    interpolate, save_coefficients
+from .chebyshev import Interval, eval_scalar, interpolate, save_coefficients
 from .functions import UnknownFunctionError, resolve
-from .operators import CountingOperator, DenseSymmetric
-from .quadform import EVALUATORS, evaluator_basis
+from .quadform import EVALUATORS, matvec_count
 
 
 def _parse_interval(text: str) -> Interval:
@@ -95,6 +93,9 @@ def cmd_estimate(matrix_path, synthetic_dim, seed, func_spec, degree, probes,
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     doc = run_estimate(cfg)
+    if not doc["spectral_interval"]["converged"]:
+        click.echo("warning: power iteration did not converge; the spectral interval "
+                   "rests on its 1% safety margin and may not contain the spectrum", err=True)
     if fmt in ("json", "both"):
         write_result(doc, out)
         click.echo(f"wrote result to {out}")
@@ -147,8 +148,7 @@ def cmd_reproduce(full, dim, trials, degree, out):
 @click.option("--evaluator", default=None,
               help="Evaluator name; omit for all four.")
 def cmd_matvec_count(degree, evaluator):
-    """Count the matvecs of a degree-n evaluation by running each evaluator
-    on a 1x1 operator."""
+    """Print the matvecs each evaluator spends on a degree-n polynomial."""
     if degree < 0:
         raise click.UsageError("degree must be >= 0")
     names = [evaluator.replace("-", "_")] if evaluator else sorted(EVALUATORS)
@@ -156,10 +156,7 @@ def cmd_matvec_count(degree, evaluator):
         if name not in EVALUATORS:
             raise click.UsageError(
                 f"unknown evaluator {name!r}; choose from {', '.join(sorted(EVALUATORS))}")
-        counter = CountingOperator(DenseSymmetric([[0.0]]))
-        coeffs = PolynomialCoefficients(evaluator_basis(name), np.zeros(degree + 1))
-        EVALUATORS[name](counter, [1.0], coeffs)
-        click.echo(f"{name}: {counter.count}")
+        click.echo(f"{name}: {matvec_count(name, degree)}")
 
 
 def main(argv=None) -> int:

@@ -64,6 +64,22 @@ class DenseSymmetric(SymmetricOperator):
         v = self._check_vector(v)
         return self.entries @ v
 
+    def diagonal(self) -> np.ndarray:
+        return np.diagonal(self.entries)
+
+
+def _keys(dim, rows, cols):
+    """Row-major int64 key ``row * dim + col`` of each entry: sorting by key
+    sorts by (row, column), and ``_keys(dim, cols, rows)`` names the mirror."""
+    return np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
+
+
+def _summed(dim, rows, cols, values):
+    """Sorted distinct keys of the triplets and their values; the values of
+    duplicate entries are summed in input order."""
+    keys, where = np.unique(_keys(dim, rows, cols), return_inverse=True)
+    return keys, np.bincount(where, weights=values, minlength=keys.size)
+
 
 class SparseSymmetric(SymmetricOperator):
     """CSR storage of the full symmetric pattern.
@@ -85,53 +101,48 @@ class SparseSymmetric(SymmetricOperator):
         counts = np.diff(self.indptr)
         if self.indptr[0] != 0 or np.any(counts < 0) or self.indptr[-1] != self.indices.size:
             raise ValueError("indptr must rise from 0 to the number of stored entries")
-        # expanded row index for a vectorized, deterministic matvec
-        self._rows = np.repeat(np.arange(self.dim), counts)
-        unordered = (self._rows[1:] == self._rows[:-1]) & (np.diff(self.indices) <= 0)
-        if np.any(unordered):
-            row = int(self._rows[1:][unordered][0])
-            raise ValueError(f"column indices not strictly increasing in row {row}")
         if np.any(self.indices < 0) or np.any(self.indices >= self.dim):
             raise ValueError("column index out of range")
-        self._validate_symmetry()
+        # expanded row index for a vectorized, deterministic matvec
+        self._rows = np.repeat(np.arange(self.dim), counts)
+        keys = _keys(self.dim, self._rows, self.indices)
+        unordered = np.flatnonzero(np.diff(keys) <= 0)
+        if unordered.size:
+            row = int(self._rows[unordered[0] + 1])
+            raise ValueError(f"column indices not strictly increasing in row {row}")
+        mirrored = _keys(self.dim, self.indices, self._rows)
+        order = np.argsort(mirrored)
+        if not (np.array_equal(mirrored[order], keys)
+                and np.array_equal(self.data[order], self.data)):
+            raise ValueError("sparse pattern or values are not symmetric")
         for arr in (self.indptr, self.indices, self.data, self._rows):
             arr.setflags(write=False)
 
-    def _validate_symmetry(self):
-        rows = self._rows
-        order_rc = np.lexsort((self.indices, rows))
-        order_cr = np.lexsort((rows, self.indices))
-        if not (
-            np.array_equal(rows[order_rc], self.indices[order_cr])
-            and np.array_equal(self.indices[order_rc], rows[order_cr])
-            and np.array_equal(self.data[order_rc], self.data[order_cr])
-        ):
-            raise ValueError("sparse pattern or values are not symmetric")
-
     @classmethod
     def from_coo(cls, dim, rows, cols, values):
-        """Build from triplets; duplicate entries are summed."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if rows.size:
-            keep = np.ones(rows.size, dtype=bool)
-            keep[1:] = (np.diff(rows) != 0) | (np.diff(cols) != 0)
-            group = np.cumsum(keep) - 1
-            summed = np.zeros(int(group[-1]) + 1)
-            np.add.at(summed, group, values)
-            rows, cols, values = rows[keep], cols[keep], summed
-        indptr = np.zeros(dim + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        indptr = np.cumsum(indptr)
-        return cls(dim, indptr, cols, values)
+        """Build from triplets; duplicate entries are summed in input order."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        if np.any((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)):
+            raise ValueError("row or column index out of range")
+        return cls._from_keys(dim, *_summed(dim, rows, cols, values))
+
+    @classmethod
+    def _from_keys(cls, dim, keys, data):
+        """Build from strictly increasing keys ``row * dim + col`` and their values."""
+        indptr = np.searchsorted(keys, np.arange(dim + 1) * dim)
+        return cls(dim, indptr, keys % dim, data)
 
     def matvec(self, v):
         v = self._check_vector(v)
         return np.bincount(self._rows, weights=self.data * v[self.indices],
                            minlength=self.dim)
+
+    def diagonal(self) -> np.ndarray:
+        """Diagonal entries; 0 where a row stores none."""
+        out = np.zeros(self.dim)
+        on = self._rows == self.indices
+        out[self._rows[on]] = self.data[on]
+        return out
 
     def to_dense(self) -> DenseSymmetric:
         M = np.zeros((self.dim, self.dim))
@@ -222,6 +233,10 @@ def load_matrix_market(path):
     nrows, ncols = dims[0], dims[1]
     if nrows != ncols:
         raise MatrixMarketError(f"line {size_line_no}: matrix is not square ({nrows}x{ncols})")
+    if nrows < 1:
+        raise MatrixMarketError(f"line {size_line_no}: matrix dimension must be >= 1, got {nrows}")
+    if fmt == "coordinate" and dims[2] < 0:
+        raise MatrixMarketError(f"line {size_line_no}: entry count must be >= 0, got {dims[2]}")
 
     entries = []
     for offset, raw in enumerate(lines[k + 1:], start=size_line_no + 1):
@@ -235,6 +250,36 @@ def load_matrix_market(path):
     return _build_array(nrows, entries, symmetry)
 
 
+def _value(line_no, token, kind=float):
+    """``token`` read as ``kind`` (float, or int for coordinate indices); a
+    float must be finite."""
+    try:
+        v = kind(token)
+    except ValueError:
+        raise MatrixMarketError(f"line {line_no}: non-numeric token {token!r}") from None
+    if kind is float and not math.isfinite(v):
+        raise MatrixMarketError(f"line {line_no}: non-finite value {token!r}")
+    return v
+
+
+def _finite(values):
+    """``values``, unless summing or symmetrizing finite entries overflowed."""
+    if not np.all(np.isfinite(values)):
+        raise MatrixMarketError("entries sum to a non-finite value")
+    return values
+
+
+def _symmetrized(a, at):
+    """(a + at) / 2 for the entries ``a`` of a 'general' matrix and ``at`` of
+    its transpose at the same positions; they must agree to 1e-12 relative."""
+    scale = np.max(np.abs(a)) if a.size else 0.0
+    if scale and np.max(np.abs(a - at)) > _SYMMETRY_RTOL * scale:
+        raise MatrixMarketError(
+            "matrix declared 'general' is not symmetric to within 1e-12 relative"
+        )
+    return (a + at) / 2.0
+
+
 def _build_coordinate(d, nnz, entries, symmetry):
     if len(entries) != nnz:
         raise MatrixMarketError(
@@ -244,74 +289,47 @@ def _build_coordinate(d, nnz, entries, symmetry):
     for line_no, tokens in entries:
         if len(tokens) != 3:
             raise MatrixMarketError(f"line {line_no}: expected 'i j value', got {len(tokens)} tokens")
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-            v = float(tokens[2])
-        except ValueError:
-            raise MatrixMarketError(f"line {line_no}: non-numeric token in {tokens!r}") from None
-        if not math.isfinite(v):
-            raise MatrixMarketError(f"line {line_no}: non-finite value {tokens[2]!r}")
+        i, j = _value(line_no, tokens[0], int), _value(line_no, tokens[1], int)
+        v = _value(line_no, tokens[2])
         if not (1 <= i <= d and 1 <= j <= d):
             raise MatrixMarketError(f"line {line_no}: index ({i},{j}) out of range for dimension {d}")
         rows.append(i - 1)
         cols.append(j - 1)
         vals.append(v)
-        if symmetry == "symmetric" and i != j:
-            rows.append(j - 1)
-            cols.append(i - 1)
-            vals.append(v)
+    rows, cols, vals = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals)
+    if symmetry == "symmetric":
+        # each off-diagonal entry is followed by its mirror, so duplicates sum in file order
+        src = np.repeat(np.arange(rows.size), np.where(rows != cols, 2, 1))
+        mirror = np.diff(src, prepend=-1) == 0
+        rows, cols = np.where(mirror, cols[src], rows[src]), np.where(mirror, rows[src], cols[src])
+        vals = vals[src]
+    keys, vals = _summed(d, rows, cols, vals)
     if symmetry == "general":
-        rows, cols, vals = _symmetrize_coo(d, rows, cols, vals)
-    return SparseSymmetric.from_coo(d, rows, cols, vals)
-
-
-def _symmetrized(M):
-    """(M + M^T) / 2 of a 'general' matrix that must be symmetric to 1e-12 relative."""
-    scale = np.max(np.abs(M)) if M.size else 0.0
-    if scale and np.max(np.abs(M - M.T)) > _SYMMETRY_RTOL * scale:
-        raise MatrixMarketError(
-            "matrix declared 'general' is not symmetric to within 1e-12 relative"
-        )
-    return (M + M.T) / 2.0
-
-
-def _symmetrize_coo(d, rows, cols, vals):
-    M = np.zeros((d, d))
-    np.add.at(M, (rows, cols), vals)
-    M = _symmetrized(M)
-    r, c = np.nonzero(M)
-    return r, c, M[r, c]
+        # (A + A^T) / 2 on the union of the pattern and its mirror; exact zeros dropped
+        n = keys.size
+        keys, where = np.unique(np.concatenate([keys, _keys(d, keys % d, keys // d)]),
+                                return_inverse=True)
+        a, a_t = np.zeros((2, keys.size))
+        a[where[:n]] = vals
+        a_t[where[n:]] = vals
+        vals = _symmetrized(a, a_t)
+        keys, vals = keys[vals != 0], vals[vals != 0]
+    return SparseSymmetric._from_keys(d, keys, _finite(vals))
 
 
 def _build_array(d, entries, symmetry):
-    values = []
-    for line_no, tokens in entries:
-        for tok in tokens:
-            try:
-                v = float(tok)
-            except ValueError:
-                raise MatrixMarketError(f"line {line_no}: non-numeric token {tok!r}") from None
-            if not math.isfinite(v):
-                raise MatrixMarketError(f"line {line_no}: non-finite value {tok!r}")
-            values.append(v)
-    M = np.zeros((d, d))
+    values = [_value(line_no, tok) for line_no, tokens in entries for tok in tokens]
+    expected = d * (d + 1) // 2 if symmetry == "symmetric" else d * d
+    if len(values) != expected:
+        storage = "array values for symmetric storage" if symmetry == "symmetric" else "array values"
+        raise MatrixMarketError(f"expected {expected} {storage}, found {len(values)}")
     if symmetry == "symmetric":
-        # lower triangle, column-major
-        expected = d * (d + 1) // 2
-        if len(values) != expected:
-            raise MatrixMarketError(
-                f"expected {expected} array values for symmetric storage, found {len(values)}"
-            )
-        pos = 0
-        for j in range(d):
-            for i in range(j, d):
-                M[i, j] = values[pos]
-                M[j, i] = values[pos]
-                pos += 1
+        # lower triangle, column-major: column j holds rows j..d-1
+        M = np.zeros((d, d))
+        j, i = np.triu_indices(d)
+        M[i, j] = values
+        M[j, i] = values
     else:
-        if len(values) != d * d:
-            raise MatrixMarketError(
-                f"expected {d * d} array values, found {len(values)}"
-            )
-        M = _symmetrized(np.asarray(values).reshape((d, d), order="F"))
-    return DenseSymmetric(M)
+        M = np.asarray(values).reshape((d, d), order="F")
+        M = _symmetrized(M, M.T)
+    return DenseSymmetric(_finite(M))

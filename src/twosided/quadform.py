@@ -39,6 +39,7 @@ __all__ = [
     "two_sided_chebyshev",
     "EVALUATORS",
     "evaluator_basis",
+    "matvec_count",
 ]
 
 
@@ -136,3 +137,9 @@ EVALUATORS = {
 def evaluator_basis(name: str) -> str:
     """The coefficient basis the evaluator called ``name`` requires."""
     return CHEBYSHEV if name.endswith("chebyshev") else STANDARD
+
+
+def matvec_count(name: str, degree: int) -> int:
+    """Matvecs the evaluator called ``name`` spends on a degree-``degree``
+    polynomial: n one-sided, ceil(n/2) two-sided."""
+    return degree if name.startswith("one_sided") else (degree + 1) // 2

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +139,33 @@ class TestEstimateCommand:
         assert run("estimate", "--matrix", str(tmp_path / "missing.mtx"),
                    "--out", str(tmp_path / "r.json")) == 2
 
+    def test_empty_size_line_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+        assert run("estimate", "--matrix", str(bad),
+                   "--out", str(tmp_path / "r.json")) == 2
+        assert "line 2: matrix dimension must be >= 1" in capsys.readouterr().err
+
+    def test_interval_excluding_a_diagonal_entry_is_validation_error(self, tmp_path, capsys):
+        # spectrum about [-13.8, 13.7], diagonal [-3.8, 2.6]: [-1, 1] cannot hold it
+        out = tmp_path / "r.json"
+        assert run("estimate", "--synthetic", "100", "--interval=-1,1",
+                   "--out", str(out)) == 2
+        assert "diagonal entry (3,3) = -1.605" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unconverged_power_interval_warns(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        args = ("estimate", "--synthetic", "300", "--degree", "4", "--probes", "2",
+                "--out", str(out))
+        assert run(*args, "--interval", "power") == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1 and "did not converge" in warnings[0]
+        assert json.loads(out.read_text())["spectral_interval"]["converged"] is False
+        assert run(*args, "--interval", "exact") == 0
+        assert "warning" not in capsys.readouterr().err
+
 
 class TestReproduceCommand:
     def test_desk_scale(self, tmp_path, capsys):
@@ -172,6 +200,14 @@ class TestMatvecCountCommand:
         assert capsys.readouterr().out.split() == [
             "one_sided_chebyshev:", "0", "one_sided_standard:", "0",
             "two_sided_chebyshev:", "0", "two_sided_standard:", "0"]
+
+    def test_large_degree_is_computed_not_run(self, capsys):
+        t0 = time.perf_counter()
+        assert run("matvec-count", "--degree", "1000000") == 0
+        assert time.perf_counter() - t0 < 1.0
+        assert capsys.readouterr().out.split() == [
+            "one_sided_chebyshev:", "1000000", "one_sided_standard:", "1000000",
+            "two_sided_chebyshev:", "500000", "two_sided_standard:", "500000"]
 
 
 def test_no_subcommand_is_usage_error():

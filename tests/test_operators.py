@@ -1,7 +1,9 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twosided.operators import (CountingOperator, DenseSymmetric,
                                 MatrixMarketError, SparseSymmetric,
@@ -96,6 +98,23 @@ def test_sparse_rejects_unordered_row():
 def test_sparse_rejects_bad_indptr():
     with pytest.raises(ValueError, match="indptr"):
         SparseSymmetric(2, [0, 2, 1], [0, 1], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("row, col", [(2, 0), (0, 2), (-1, 0), (1, -1)])
+def test_from_coo_rejects_out_of_range_index(row, col):
+    # a row-major key would alias (0, 2) to (1, 0) without this check
+    with pytest.raises(ValueError, match="out of range"):
+        SparseSymmetric.from_coo(2, [0, 1, row], [0, 1, col], [1.0, 1.0, 1.0])
+
+
+def test_sparse_diagonal():
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((20, 20))
+    M = (M + M.T) / 2
+    M[np.abs(M) < 0.8] = 0.0
+    op = sparse_from_dense(M)
+    assert np.array_equal(op.diagonal(), np.diag(M))
+    assert np.array_equal(DenseSymmetric(M).diagonal(), np.diag(M))
 
 
 class TestRandomSymmetric:
@@ -248,6 +267,73 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError, match="line 3"):
             load_matrix_market(path)
 
+    def test_general_duplicates_summed_and_zeros_dropped(self, tmp_path):
+        path = tmp_path / "g.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 7\n"
+            "1 2 1.0\n"
+            "3 3 4.0\n"
+            "2 1 0.5\n"
+            "1 2 -0.25\n"
+            "2 1 0.25\n"
+            "1 3 2.0\n"
+            "1 3 -2.0\n")
+        op = load_matrix_market(path)
+        # (1,2) and (2,1) each sum to 0.75; (1,3) cancels and is not stored
+        assert op.indptr.tolist() == [0, 1, 2, 3]
+        assert op.indices.tolist() == [1, 0, 2]
+        assert op.data.tolist() == [0.75, 0.75, 4.0]
+
+    def test_general_coordinate_memory_is_linear(self, tmp_path):
+        # a dense d x d detour would peak at 3 * 72 MB here
+        path = tmp_path / "g.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3000 3000 3\n"
+            "1 1 2.0\n"
+            "1 3000 1.0\n"
+            "3000 1 1.0\n")
+        tracemalloc.start()
+        try:
+            op = load_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.dim == 3000 and op.data.tolist() == [2.0, 1.0, 1.0]
+        assert peak < 8e6
+
+    def test_array_symmetric_column_major(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        # lower triangle by columns: (1,1) (2,1) (3,1) (2,2) (3,2) (3,3)
+        path.write_text(
+            "%%MatrixMarket matrix array real symmetric\n"
+            "3 3\n1\n2\n3\n4\n5\n6\n")
+        op = load_matrix_market(path)
+        assert op.entries.tolist() == [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]
+
+    @pytest.mark.parametrize("header, size", [
+        ("coordinate real symmetric", "0 0 0"),
+        ("coordinate real general", "-2 -2 0"),
+        ("coordinate real general", "2 2 -1"),
+        ("array real general", "0 0"),
+        ("array real symmetric", "-2 -2"),
+    ])
+    def test_non_positive_size_rejected(self, tmp_path, header, size):
+        path = tmp_path / "s.mtx"
+        path.write_text(f"%%MatrixMarket matrix {header}\n% comment\n{size}\n")
+        with pytest.raises(MatrixMarketError, match="line 3: .* must be >= "):
+            load_matrix_market(path)
+
+    def test_sums_overflowing_to_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "o.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 4\n"
+            "1 2 1.7e308\n1 2 1.7e308\n2 1 -1.7e308\n2 1 -1.7e308\n")
+        with pytest.raises(MatrixMarketError, match="non-finite"):
+            load_matrix_market(path)
+
     def test_non_square_rejected(self, tmp_path):
         path = tmp_path / "b.mtx"
         path.write_text(
@@ -256,3 +342,68 @@ class TestMatrixMarket:
             "1 1 1.0\n")
         with pytest.raises(MatrixMarketError, match="square"):
             load_matrix_market(path)
+
+
+_FAULTS = ["none"] * 6 + ["header", "size", "count", "value", "index", "arity"]
+_BAD_HEADERS = ["%%Matrix", "%%MatrixMarket matrix coordinate real",
+                "%%MatrixMarket vector coordinate real general",
+                "%%MatrixMarket matrix tensor real general",
+                "%%MatrixMarket matrix coordinate complex general",
+                "%%MatrixMarket matrix array real skew-symmetric"]
+# 7.5 breaks the symmetry of 'general' content; 1.7e308 sums overflow
+_BAD_VALUES = ["nan", "inf", "-Infinity", "1e400", "x", "1.0.0", "0x10", "7.5",
+               "1.7e308", "-1.7e308"]
+
+
+@st.composite
+def matrix_market_files(draw):
+    """Text of a Matrix Market file: valid, or broken by one fault."""
+    fault = draw(st.sampled_from(_FAULTS))
+    fmt = draw(st.sampled_from(["coordinate", "array"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric"]))
+    d = draw(st.integers(1, 50 if fmt == "coordinate" else 7))
+    value = st.floats(-1e3, 1e3).map(repr)
+    if fmt == "array":
+        lower = {(i, j): draw(value) for j in range(d) for i in range(j, d)}
+        lines = (list(lower.values()) if symmetry == "symmetric" else
+                 [lower[max(i, j), min(i, j)] for j in range(d) for i in range(d)])
+    else:
+        lines = []
+        for _ in range(draw(st.integers(0, 30))):
+            i, j, v = draw(st.integers(1, d)), draw(st.integers(1, d)), draw(value)
+            lines.append(f"{i} {j} {v}")
+            if symmetry == "general" and draw(st.booleans()):
+                lines.append(f"{j} {i} {v}")  # mirrored, so the file may be symmetric
+    header = f"%%MatrixMarket matrix {fmt} real {symmetry}"
+    size = f"{d} {d} {len(lines)}" if fmt == "coordinate" else f"{d} {d}"
+    if fault == "header":
+        header = draw(st.sampled_from(_BAD_HEADERS))
+    elif fault == "size":
+        size = draw(st.sampled_from(["0 0", "-2 -2", f"{d} {d + 1}", f"{d}", "x y"]))
+        if fmt == "coordinate":
+            size += draw(st.sampled_from([f" {len(lines)}", " -1"]))
+    elif fault == "count":
+        lines = lines[:-1] if lines else ["1 1 1.0"]
+    elif fault != "none" and lines:
+        k = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[k].split()
+        if fault == "value":
+            tokens[-1] = draw(st.sampled_from(_BAD_VALUES))
+        elif fault == "index" and fmt == "coordinate":
+            tokens[draw(st.integers(0, 1))] = draw(st.sampled_from(["0", "-1", str(d + 1)]))
+        else:  # one token too few or too many
+            tokens = tokens[:-1] if len(tokens) > 1 else tokens * 2
+        lines[k] = " ".join(tokens)
+    return "\n".join([header, "% comment", size, *lines]) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(text=matrix_market_files())
+def test_reader_returns_operator_or_matrix_market_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "f.mtx"
+    path.write_text(text)
+    try:
+        op = load_matrix_market(path)
+    except MatrixMarketError:
+        return
+    assert op.dim >= 1

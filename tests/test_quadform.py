@@ -7,7 +7,7 @@ from twosided.chebyshev import (CHEBYSHEV, STANDARD, PolynomialCoefficients,
                                 eval_scalar, interpolate)
 from twosided.hutchinson import ProbeSequence
 from twosided.operators import CountingOperator, DenseSymmetric, random_symmetric
-from twosided.quadform import (EVALUATORS, one_sided_chebyshev,
+from twosided.quadform import (EVALUATORS, matvec_count, one_sided_chebyshev,
                                one_sided_standard, two_sided_chebyshev,
                                two_sided_standard)
 from twosided.spectrum import ScaledOperator, SpectralInterval
@@ -155,6 +155,7 @@ class TestMatvecCounts:
             assert counter.count == expected
             assert r.matvecs == expected
             assert r.matvecs == counter.count
+            assert matvec_count(name, n) == counter.count
 
 
 class TestCrossMethodAgreement:
