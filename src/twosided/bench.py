@@ -17,15 +17,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .chebyshev import (CANONICAL, CHEBYSHEV, STANDARD, Interval,
-                        PolynomialCoefficients, eval_scalar, interpolate)
+                        PolynomialCoefficients, function_values, interpolate)
 from .functions import resolve
 from .hutchinson import ProbeSequence, estimate_trace
-from .operators import CountingOperator, DenseSymmetric, SparseSymmetric, \
-    load_matrix_market, random_symmetric
+from .operators import CountingOperator, load_matrix_market, random_symmetric
 from .quadform import EVALUATORS, evaluator_basis
 from .spectrum import ScaledOperator, SpectralInterval, estimate_interval
 
-__all__ = ["BenchConfig", "run_estimate", "reproduce_experiment",
+__all__ = ["BenchConfig", "reproduce_config", "run_estimate",
            "write_result", "write_probe_csv", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
@@ -70,33 +69,29 @@ class BenchConfig:
         return {**asdict(self), "evaluators": list(self.evaluators)}
 
 
-def _dense_entries(op):
-    if isinstance(op, DenseSymmetric):
-        return op.entries
-    if isinstance(op, SparseSymmetric):
-        return op.to_dense().entries
-    raise ValueError("exact spectral interval requires a dense or sparse matrix operator")
+def reproduce_config(dim: int, trials: int = 100, degree: int = 20) -> BenchConfig:
+    """The ``reproduce`` preset: f(x) = exp(10 x / sqrt(2 dim)) on ``random_symmetric(dim,
+    2024)``, whose semicircle edge sqrt(2 dim) keeps f near e^-10..e^10 at every dim."""
+    return BenchConfig(synthetic_dim=dim, seed=2024,
+                       function=f"exp_scaled:{10.0 / math.sqrt(2 * dim)!r}",
+                       degree=degree, probes=trials, interval="exact", terms=True)
 
 
 def _user_interval(spec: str) -> SpectralInterval | None:
     """The explicit 'lo,hi' interval of ``spec``; None for 'exact' and 'power'."""
     if spec in ("exact", "power"):
         return None
-    try:
-        lo, hi = (float(t) for t in spec.split(","))
-    except ValueError:
-        raise ValueError(
-            f"interval must be 'exact', 'power', or 'lo,hi'; got {spec!r}"
-        ) from None
-    return SpectralInterval(lo, hi, 0.0)
+    domain = Interval.parse(spec)
+    return SpectralInterval(domain.a, domain.b, 0.0)
 
 
-def _resolve_interval(op, spec: str, seed: int) -> tuple[SpectralInterval, str]:
+def _resolve_interval(op, spec: str, seed: int) -> tuple[SpectralInterval, str, np.ndarray | None]:
+    """The spectral interval, its source, and the eigenvalues when exact."""
     if spec == "exact":
-        eigs = np.linalg.eigvalsh(_dense_entries(op))
-        return SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0), "exact"
+        eigs = np.linalg.eigvalsh(op.to_dense().entries)
+        return SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0), "exact", eigs
     if spec == "power":
-        return estimate_interval(op, iters=1000, tol=1e-12, seed=seed), "power"
+        return estimate_interval(op, iters=1000, tol=1e-12, seed=seed), "power", None
     interval = _user_interval(spec)
     # a_ii = e_i^T A e_i is a Rayleigh quotient, so it lies in [lambda_min, lambda_max]
     diag = op.diagonal()
@@ -106,23 +101,13 @@ def _resolve_interval(op, spec: str, seed: int) -> tuple[SpectralInterval, str]:
         raise ValueError(
             f"interval [{interval.lo!r}, {interval.hi!r}] does not contain the spectrum: "
             f"diagonal entry ({i + 1},{i + 1}) = {float(diag[i])!r} lies outside it")
-    return interval, "user"
+    return interval, "user", None
 
 
-def _coefficients_for(evaluator_names, fspec, degree, interval: SpectralInterval):
-    """Chebyshev coefficients of f composed with the inverse scaling map,
-    plus a standard-basis conversion when a standard evaluator is selected."""
-    domain = Interval(interval.lo, interval.hi)
-    cheb = interpolate(lambda t: fspec.fn(domain.from_canonical(t)), degree, CANONICAL)
-    out = {}
-    for name in evaluator_names:
-        if evaluator_basis(name) == CHEBYSHEV:
-            out[name] = cheb
-        else:
-            std = np.polynomial.chebyshev.cheb2poly(cheb.coeffs)
-            std = np.concatenate([std, np.zeros(degree + 1 - std.size)])
-            out[name] = PolynomialCoefficients(STANDARD, std)
-    return out
+def _standard(cheb: PolynomialCoefficients) -> PolynomialCoefficients:
+    std = np.polynomial.chebyshev.cheb2poly(cheb.coeffs)
+    return PolynomialCoefficients(STANDARD,
+                                  np.concatenate([std, np.zeros(cheb.degree + 1 - std.size)]))
 
 
 def _probe_checksum(seq: ProbeSequence, m: int) -> str:
@@ -200,18 +185,37 @@ def _term_comparison(terms_a, terms_b):
 
 
 def run_estimate(cfg: BenchConfig) -> dict:
-    """Execute an ``estimate`` run and return the result document."""
+    """Execute an ``estimate`` run and return the result document. With the
+    exact interval it holds ``exact_trace`` (f summed over the eigenvalues) and
+    ``polynomial_trace`` (the interpolant, what the estimates are unbiased for)."""
     cfg.validate()
     if cfg.matrix_path is not None:
         op = load_matrix_market(cfg.matrix_path)
     else:
         op = random_symmetric(cfg.synthetic_dim, cfg.seed)
-    interval, interval_source = _resolve_interval(op, cfg.interval, cfg.seed)
-    scaled = ScaledOperator(op, interval)
+    interval, interval_source, eigs = _resolve_interval(op, cfg.interval, cfg.seed)
     fspec = resolve(cfg.function)
-    coeffs_by_name = _coefficients_for(cfg.evaluators, fspec, cfg.degree, interval)
-    records, comparisons, checksum = _paired_run(
-        scaled, coeffs_by_name, cfg.probes, cfg.seed, cfg.terms)
+    domain = Interval(interval.lo, interval.hi)
+    try:
+        cheb = interpolate(lambda t: fspec.fn(domain.from_canonical(t)), cfg.degree, CANONICAL)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; interpolation runs on [-1, 1], the image of "
+                         f"[{interval.lo!r}, {interval.hi!r}]") from None
+    coeffs_by_name = {name: cheb if evaluator_basis(name) == CHEBYSHEV else _standard(cheb)
+                      for name in cfg.evaluators}
+    exact_trace = polynomial_trace = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if eigs is not None:
+            exact_trace = float(np.sum(function_values(fspec.fn, eigs, "eigenvalue")))
+            polynomial_trace = float(np.sum(
+                np.polynomial.chebyshev.chebval(domain.to_canonical(eigs), cheb.coeffs)))
+        records, comparisons, checksum = _paired_run(
+            ScaledOperator(op, interval), coeffs_by_name, cfg.probes, cfg.seed, cfg.terms)
+    for name, rec in records.items():
+        stats = [rec["mean"], rec["sample_stddev"] or 0.0, *rec["probe_values"]]
+        if not all(map(math.isfinite, stats)):
+            raise ValueError(f"{name} overflows double precision on this matrix (mean="
+                             f"{rec['mean']!r}, sample_stddev={rec['sample_stddev']!r})")
     return {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.as_dict(),
@@ -224,66 +228,18 @@ def run_estimate(cfg: BenchConfig) -> dict:
             "converged": interval.converged,
             "source": interval_source,
         },
+        "exact_trace": exact_trace,
+        "polynomial_trace": polynomial_trace,
         "probe_checksum": checksum,
         "evaluators": records,
         "comparisons": comparisons,
     }
 
 
-def reproduce_experiment(dim: int = 200, trials: int = 100, degree: int = 20,
-                         matrix_seed: int = 2024, probe_seed: int = 1,
-                         exp_rate: float = 10.0) -> dict:
-    """Paired one-sided vs two-sided Chebyshev benchmark on a synthetic
-    symmetric matrix, spectrum scaled exactly to [-1, 1] via dense
-    eigendecomposition, with f(x) = exp(rate * x).
-
-    Returns a report with the exact trace of f, both Hutchinson estimates,
-    aggregate / per-evaluation / per-term differences between the methods,
-    wall times, and matvec counts.
-    """
-    if dim < 2:
-        raise ValueError("reproduction requires dim >= 2")
-    A = random_symmetric(dim, matrix_seed)
-    eigs = np.linalg.eigvalsh(A.entries)
-    interval = SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0)
-    scaled = ScaledOperator(A, interval)
-    scaled_eigs = (2.0 * eigs - eigs[0] - eigs[-1]) / (eigs[-1] - eigs[0])
-
-    f = lambda x: math.exp(exp_rate * x)
-    exact_trace = float(np.sum(np.exp(exp_rate * scaled_eigs)))
-    coeffs = interpolate(f, degree, CANONICAL)
-    polynomial_trace = float(sum(eval_scalar(coeffs, lam) for lam in scaled_eigs))
-
-    names = ("one_sided_chebyshev", "two_sided_chebyshev")
-    records, comparisons, checksum = _paired_run(
-        scaled, {name: coeffs for name in names}, trials, probe_seed, True)
-    comp = comparisons["one_sided_chebyshev|two_sided_chebyshev"]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "dim": dim,
-        "degree": degree,
-        "trials": trials,
-        "function": f"exp_scaled:{exp_rate:g}",
-        "matrix_seed": matrix_seed,
-        "probe_seed": probe_seed,
-        "exact_trace": exact_trace,
-        "polynomial_trace": polynomial_trace,
-        "probe_checksum": checksum,
-        "estimates": {name: records[name]["mean"] for name in names},
-        "sample_stddev": {name: records[name]["sample_stddev"] for name in names},
-        "total_matvecs": {name: records[name]["total_matvecs"] for name in names},
-        "wall_time_seconds": {name: records[name]["wall_time_seconds"] for name in names},
-        "aggregate_relative_difference": comp["aggregate_relative_difference"],
-        "max_per_evaluation_relative_difference": comp["max_per_probe_relative_difference"],
-        "max_per_term_relative_difference": comp["max_per_term_relative_difference"],
-        "max_small_term_absolute_difference": comp["max_small_term_absolute_difference"],
-    }
-
-
 def write_result(doc: dict, path):
+    text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_probe_csv(doc: dict, path):

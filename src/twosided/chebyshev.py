@@ -3,7 +3,9 @@ evaluation, interval transforms, and coefficient file I/O."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +17,7 @@ __all__ = [
     "PolynomialCoefficients",
     "chebyshev_nodes",
     "interpolate",
+    "function_values",
     "eval_scalar",
     "save_coefficients",
     "load_coefficients",
@@ -26,14 +29,23 @@ CHEBYSHEV = "chebyshev"
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [a, b] with a < b."""
+    """Closed interval [a, b] with finite a < b."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a}, {self.b}]")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"interval requires finite a < b, got [{self.a}, {self.b}]")
+
+    @classmethod
+    def parse(cls, text: str) -> Interval:
+        """The interval written 'a,b'."""
+        try:
+            a, b = (float(t) for t in text.split(","))
+        except ValueError:
+            raise ValueError(f"interval must be 'a,b', got {text!r}") from None
+        return cls(a, b)
 
     def to_canonical(self, x):
         """Affine map of [a, b] onto [-1, 1]."""
@@ -89,13 +101,7 @@ def interpolate(f, n: int, interval: Interval = CANONICAL) -> PolynomialCoeffici
     nodes, with the first and last summands halved and the first and last
     coefficients halved again. Direct O(n^2) sums; no FFT.
     """
-    t = chebyshev_nodes(n)
-    x = interval.from_canonical(t)
-    fv = np.array([float(f(xi)) for xi in x])
-    bad = ~np.isfinite(fv)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise ValueError(f"function value is not finite at node x={x[j]!r} (node index {j})")
+    fv = function_values(f, interval.from_canonical(chebyshev_nodes(n)))
     j = np.arange(n + 1)
     C = np.cos(np.pi * np.outer(j, j) / n)
     w = np.ones(n + 1)
@@ -104,6 +110,21 @@ def interpolate(f, n: int, interval: Interval = CANONICAL) -> PolynomialCoeffici
     alpha[0] *= 0.5
     alpha[-1] *= 0.5
     return PolynomialCoefficients(CHEBYSHEV, alpha, interval)
+
+
+def function_values(f, x, where: str = "node") -> np.ndarray:
+    """``f`` at each point of ``x``; ValueError naming the first point where
+    f is not finite or raises an arithmetic or domain error."""
+    fv = np.full(len(x), math.nan)
+    with np.errstate(all="ignore"):
+        for j, xj in enumerate(x):
+            with contextlib.suppress(ArithmeticError, ValueError):
+                fv[j] = f(xj)
+    bad = np.flatnonzero(~np.isfinite(fv))
+    if bad.size:
+        raise ValueError(f"function value is not finite at {where} "
+                         f"x={float(x[bad[0]])!r} ({where} index {bad[0]})")
+    return fv
 
 
 def eval_scalar(p: PolynomialCoefficients, x: float) -> float:

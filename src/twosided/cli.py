@@ -2,7 +2,8 @@
 
 Subcommands: ``interpolate`` (write a coefficient file), ``estimate`` (run
 selected evaluators over a shared probe sequence and write a result file),
-``reproduce`` (paired one-sided vs two-sided Chebyshev benchmark), and
+``reproduce`` (the ``estimate`` preset ``bench.reproduce_config``, printing the
+exact and polynomial traces and how closely the two Chebyshev routes agree), and
 ``matvec-count`` (count the matvecs each evaluator spends at a degree).
 
 Exit codes: 0 success, 1 usage error, 2 numerical or validation error.
@@ -16,26 +17,19 @@ import sys
 import click
 import numpy as np
 
-from .bench import BenchConfig, reproduce_experiment, run_estimate, \
+from .bench import BenchConfig, reproduce_config, run_estimate, \
     write_probe_csv, write_result
-from .chebyshev import Interval, eval_scalar, interpolate, save_coefficients
-from .functions import UnknownFunctionError, resolve
+from .chebyshev import Interval, eval_scalar, function_values, interpolate, save_coefficients
+from .functions import resolve
 from .quadform import EVALUATORS, matvec_count
 
 
-def _parse_interval(text: str) -> Interval:
+def _validated_run(cfg: BenchConfig) -> dict:
     try:
-        a, b = (float(t) for t in text.split(","))
-    except ValueError:
-        raise click.UsageError(f"interval must be 'a,b', got {text!r}") from None
-    return Interval(a, b)
-
-
-def _resolve_function(spec: str):
-    try:
-        return resolve(spec)
-    except UnknownFunctionError as exc:
+        cfg.validate()
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from None
+    return run_estimate(cfg)
 
 
 @click.group()
@@ -53,12 +47,16 @@ def cmd_interpolate(func_spec, degree, interval, out):
     """Interpolate a registry function at Chebyshev nodes and save the coefficients."""
     if degree < 1:
         raise click.UsageError("degree must be >= 1")
-    fspec = _resolve_function(func_spec)
-    domain = _parse_interval(interval)
+    try:
+        fspec = resolve(func_spec)
+        domain = Interval.parse(interval)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     p = interpolate(fspec.fn, degree, domain)
-    save_coefficients(p, out)
     grid = np.linspace(domain.a, domain.b, 1000)
-    residual = max(abs(eval_scalar(p, x) - fspec.fn(x)) for x in grid)
+    residual = np.max(np.abs(np.array([eval_scalar(p, x) for x in grid])
+                             - function_values(fspec.fn, grid, "grid point")))
+    save_coefficients(p, out)
     click.echo(f"wrote {degree + 1} coefficients to {out}")
     click.echo(f"max interpolation residual on 1000-point grid: {residual:.6e}")
 
@@ -88,11 +86,7 @@ def cmd_estimate(matrix_path, synthetic_dim, seed, func_spec, degree, probes,
     cfg = BenchConfig(matrix_path=matrix_path, synthetic_dim=synthetic_dim,
                       seed=seed, function=func_spec, degree=degree, probes=probes,
                       evaluators=names, interval=interval, terms=terms)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    doc = run_estimate(cfg)
+    doc = _validated_run(cfg)
     if not doc["spectral_interval"]["converged"]:
         click.echo("warning: power iteration did not converge; the spectral interval "
                    "rests on its 1% safety margin and may not contain the spectrum", err=True)
@@ -116,31 +110,22 @@ def cmd_estimate(matrix_path, synthetic_dim, seed, func_spec, degree, probes,
 @click.option("--degree", type=int, default=20, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Optional JSON report path.")
 def cmd_reproduce(full, dim, trials, degree, out):
-    """Paired Chebyshev benchmark: exp(10x) on an exactly scaled random matrix."""
+    """Paired Chebyshev run of tr exp(10 A / sqrt(2 dim)) on a seeded random matrix."""
     d = 5000 if full else dim
     if d < 50:
         raise click.UsageError("desk-scale dimension must be >= 50")
-    try:
-        report = reproduce_experiment(dim=d, trials=trials, degree=degree)
-    except MemoryError:
-        raise click.ClickException(
-            "out of memory at this dimension; retry desk scale with --dim") from None
-    click.echo(f"dimension {d}, degree {degree}, {trials} trials")
-    click.echo(f"exact trace f(A):        {report['exact_trace']:.6e}")
-    click.echo(f"polynomial trace p(A):   {report['polynomial_trace']:.6e}")
-    for name, mean in report["estimates"].items():
-        click.echo(f"estimate [{name}]: {mean:.6e} "
-                   f"(matvecs {report['total_matvecs'][name]}, "
-                   f"{report['wall_time_seconds'][name]:.2f} s)")
-    click.echo(f"aggregate relative difference:      "
-               f"{report['aggregate_relative_difference']:.3e}")
-    click.echo(f"max per-evaluation relative diff:   "
-               f"{report['max_per_evaluation_relative_difference']:.3e}")
-    click.echo(f"max per-term relative diff:         "
-               f"{report['max_per_term_relative_difference']:.3e}")
+    doc = _validated_run(reproduce_config(d, trials, degree))
+    click.echo(f"dimension {d}, degree {degree}, {trials} trials, f = {doc['function']}")
+    click.echo(f"exact trace f(A):        {doc['exact_trace']:.6e}")
+    click.echo(f"polynomial trace p(A):   {doc['polynomial_trace']:.6e}")
+    for name, rec in doc["evaluators"].items():
+        click.echo(f"estimate [{name}]: {rec['mean']:.6e} "
+                   f"(matvecs {rec['total_matvecs']}, {rec['wall_time_seconds']:.2f} s)")
+    for key, value in doc["comparisons"]["one_sided_chebyshev|two_sided_chebyshev"].items():
+        click.echo(f"{key.replace('_', ' ')}: {value:.3e}")
     if out:
-        write_result(report, out)
-        click.echo(f"wrote report to {out}")
+        write_result(doc, out)
+        click.echo(f"wrote result to {out}")
 
 
 @cli.command("matvec-count")

@@ -67,6 +67,9 @@ class DenseSymmetric(SymmetricOperator):
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.entries)
 
+    def to_dense(self) -> DenseSymmetric:
+        return self
+
 
 def _keys(dim, rows, cols):
     """Row-major int64 key ``row * dim + col`` of each entry: sorting by key
@@ -271,13 +274,16 @@ def _finite(values):
 
 def _symmetrized(a, at):
     """(a + at) / 2 for the entries ``a`` of a 'general' matrix and ``at`` of
-    its transpose at the same positions; they must agree to 1e-12 relative."""
+    its transpose at the same positions; they must be finite and agree to
+    1e-12 relative."""
     scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale and np.max(np.abs(a - at)) > _SYMMETRY_RTOL * scale:
+    # halving cannot overflow, and is exact above the subnormal range
+    if scale and np.max(np.abs(0.5 * a - 0.5 * at)) > 0.5 * _SYMMETRY_RTOL * scale:
         raise MatrixMarketError(
             "matrix declared 'general' is not symmetric to within 1e-12 relative"
         )
-    return (a + at) / 2.0
+    with np.errstate(over="ignore"):  # a mean past the largest double is rejected
+        return _finite((a + at) / 2.0)
 
 
 def _build_coordinate(d, nnz, entries, symmetry):
@@ -304,6 +310,7 @@ def _build_coordinate(d, nnz, entries, symmetry):
         rows, cols = np.where(mirror, cols[src], rows[src]), np.where(mirror, rows[src], cols[src])
         vals = vals[src]
     keys, vals = _summed(d, rows, cols, vals)
+    vals = _finite(vals)
     if symmetry == "general":
         # (A + A^T) / 2 on the union of the pattern and its mirror; exact zeros dropped
         n = keys.size
@@ -314,7 +321,7 @@ def _build_coordinate(d, nnz, entries, symmetry):
         a_t[where[n:]] = vals
         vals = _symmetrized(a, a_t)
         keys, vals = keys[vals != 0], vals[vals != 0]
-    return SparseSymmetric._from_keys(d, keys, _finite(vals))
+    return SparseSymmetric._from_keys(d, keys, vals)
 
 
 def _build_array(d, entries, symmetry):
@@ -332,4 +339,4 @@ def _build_array(d, entries, symmetry):
     else:
         M = np.asarray(values).reshape((d, d), order="F")
         M = _symmetrized(M, M.T)
-    return DenseSymmetric(_finite(M))
+    return DenseSymmetric(M)

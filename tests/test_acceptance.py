@@ -8,9 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from twosided.bench import BenchConfig, reproduce_experiment, run_estimate
-from twosided.chebyshev import (CHEBYSHEV, STANDARD, PolynomialCoefficients,
+from twosided.bench import BenchConfig, reproduce_config, run_estimate
+from twosided.chebyshev import (CHEBYSHEV, STANDARD, Interval, PolynomialCoefficients,
                                 chebyshev_nodes, eval_scalar, interpolate)
+from twosided.functions import resolve
 from twosided.hutchinson import ProbeSequence, estimate_trace, exact_trace_f
 from twosided.operators import CountingOperator, DenseSymmetric, random_symmetric
 from twosided.quadform import (EVALUATORS, one_sided_chebyshev,
@@ -70,37 +71,46 @@ def test_criterion_2_chebyshev_identity_suite():
     print(f"\nCRITERION 2 PASS: identity suite, worst abs error {worst:.2e} ({elapsed:.2f} s)")
 
 
+PAIR = "one_sided_chebyshev|two_sided_chebyshev"
+
+
 @pytest.fixture(scope="module")
 def desk_reproduction():
     start = time.perf_counter()
-    report = reproduce_experiment(dim=200, trials=100, degree=20)
-    report["_elapsed"] = time.perf_counter() - start
-    return report
+    doc = run_estimate(reproduce_config(200, trials=100, degree=20))
+    doc["_elapsed"] = time.perf_counter() - start
+    return doc
 
 
 def test_criterion_3_cross_method_agreement(desk_reproduction):
     rep = desk_reproduction
-    assert rep["aggregate_relative_difference"] <= 1e-13
-    assert rep["max_per_evaluation_relative_difference"] <= 1e-11
+    comp = rep["comparisons"][PAIR]
+    assert comp["aggregate_relative_difference"] <= 1e-13
+    assert comp["max_per_probe_relative_difference"] <= 1e-11
     assert rep["_elapsed"] < 30.0
     print(f"\nCRITERION 3 PASS: aggregate rel diff "
-          f"{rep['aggregate_relative_difference']:.2e}, max per-evaluation "
-          f"{rep['max_per_evaluation_relative_difference']:.2e} "
+          f"{comp['aggregate_relative_difference']:.2e}, max per-evaluation "
+          f"{comp['max_per_probe_relative_difference']:.2e} "
           f"({rep['_elapsed']:.2f} s)")
 
 
 def test_criterion_4_per_term_agreement(desk_reproduction):
     rep = desk_reproduction
-    # recheck the raw terms directly, probe by probe
-    A = random_symmetric(200, rep["matrix_seed"])
-    S, _ = scaled_exactly(A)
-    p = interpolate(lambda x: math.exp(10 * x), 20)
-    seq = ProbeSequence(rep["probe_seed"], 200)
+    # recheck the raw terms directly, probe by probe, on the run's own
+    # matrix, probes and coefficients
+    cfg, iv = rep["config"], rep["spectral_interval"]
+    A = random_symmetric(cfg["synthetic_dim"], cfg["seed"])
+    S = ScaledOperator(A, SpectralInterval(iv["lo"], iv["hi"]))
+    f, domain = resolve(cfg["function"]).fn, Interval(iv["lo"], iv["hi"])
+    p = interpolate(lambda t: f(domain.from_canonical(t)), cfg["degree"])
+    seq = ProbeSequence(cfg["seed"], A.dim)
     worst_rel, worst_abs = 0.0, 0.0
-    for i in range(100):
+    for i in range(cfg["probes"]):
         z = seq.vector(i)
         one = one_sided_chebyshev(S, z, p, want_terms=True)
         two = two_sided_chebyshev(S, z, p, want_terms=True)
+        assert one.value == rep["evaluators"]["one_sided_chebyshev"]["probe_values"][i]
+        assert two.value == rep["evaluators"]["two_sided_chebyshev"]["probe_values"][i]
         mag = np.maximum(np.abs(one.terms), np.abs(two.terms))
         big = np.max(mag)
         diff = np.abs(one.terms - two.terms)
@@ -111,7 +121,7 @@ def test_criterion_4_per_term_agreement(desk_reproduction):
             worst_rel = max(worst_rel, float(np.max(diff[sig] / mag[sig])))
         if np.any(~sig):
             worst_abs = max(worst_abs, float(np.max(diff[~sig])))
-    assert rep["max_per_term_relative_difference"] <= 1e-9
+    assert rep["comparisons"][PAIR]["max_per_term_relative_difference"] <= 1e-9
     print(f"\nCRITERION 4 PASS: per-term rel diff {worst_rel:.2e} (significant), "
           f"abs diff {worst_abs:.2e} (small terms)")
 

@@ -4,8 +4,10 @@ import time
 import numpy as np
 import pytest
 
+from twosided.bench import reproduce_config
 from twosided.chebyshev import load_coefficients
 from twosided.cli import main
+from twosided.operators import random_symmetric
 
 
 def run(*args):
@@ -62,6 +64,31 @@ class TestInterpolateCommand:
         assert run("interpolate", "--function", "sinc", "--degree", "3",
                    "--out", str(tmp_path / "c.json")) == 1
 
+    @pytest.mark.parametrize("interval", ["wide", "1,-1", "1,2,3", "nan,1", "-inf,inf"])
+    def test_invalid_interval_is_usage_error(self, tmp_path, capsys, interval):
+        out = tmp_path / "c.json"
+        assert run("interpolate", "--function", "identity", "--degree", "3",
+                   f"--interval={interval}", "--out", str(out)) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("args, where", [
+    (("interpolate", "--function", "exp_scaled:1000", "--degree", "4"),
+     "node x=1.0 (node index 0)"),
+    (("interpolate", "--function", "log_shifted", "--interval=-3,-2", "--degree", "4"),
+     "node x=-2.0 (node index 0)"),
+    (("interpolate", "--function", "power:-1", "--interval=-1,2", "--degree", "4"),
+     "grid point x=0.0 (grid point index 333)"),
+    (("estimate", "--synthetic", "10", "--function", "exp_scaled:10", "--interval=-100,100"),
+     "node x=1.0 (node index 0); interpolation runs on [-1, 1], the image of [-100.0, 100.0]"),
+])
+def test_non_finite_function_value_is_validation_error(tmp_path, capsys, args, where):
+    out = tmp_path / "out.json"
+    assert run(*args, "--out", str(out)) == 2
+    assert f"function value is not finite at {where}" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestEstimateCommand:
     def test_identity_matrix_single_probe(self, tmp_path):
@@ -114,6 +141,7 @@ class TestEstimateCommand:
         ("--function", "sinc"),
         ("--interval", "wide"),
         ("--interval", "1,-1"),
+        ("--interval=-inf,inf",),
     ])
     def test_invalid_configuration_is_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "r.json"
@@ -154,6 +182,35 @@ class TestEstimateCommand:
         assert "diagonal entry (3,3) = -1.605" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("function", ["poly:0,1e306", "poly:1e306", "poly:0,1e200"])
+    def test_non_finite_estimate_is_validation_error(self, tmp_path, capsys, function):
+        out = tmp_path / "r.json"
+        assert run("estimate", "--synthetic", "500", "--function", function, "--degree", "4",
+                   "--probes", "3", "--out", str(out)) == 2
+        assert "one_sided_chebyshev overflows double precision" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_function_failing_at_an_eigenvalue_is_validation_error(self, tmp_path, capsys):
+        mtx = tmp_path / "diag.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "3 3 2\n1 1 -1.0\n3 3 1.0\n")
+        assert run("estimate", "--matrix", str(mtx), "--function", "power:-1", "--degree", "3",
+                   "--out", str(tmp_path / "r.json")) == 2
+        assert "not finite at eigenvalue x=0.0 (eigenvalue index 1)" in capsys.readouterr().err
+
+    def test_exact_interval_documents_carry_traces(self, tmp_path):
+        out = tmp_path / "r.json"
+        args = ("estimate", "--synthetic", "30", "--seed", "7", "--function", "exp_scaled:0.3",
+                "--probes", "5", "--out", str(out))
+        assert run(*args) == 0
+        doc = json.loads(out.read_text())
+        eigs = np.linalg.eigvalsh(random_symmetric(30, 7).entries)
+        assert doc["exact_trace"] == pytest.approx(np.sum(np.exp(0.3 * eigs)), rel=1e-13)
+        assert doc["polynomial_trace"] == pytest.approx(doc["exact_trace"], rel=1e-12)
+        assert run(*args, "--interval=-20,20") == 0
+        doc = json.loads(out.read_text())
+        assert doc["exact_trace"] is None and doc["polynomial_trace"] is None
+
     def test_unconverged_power_interval_warns(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         args = ("estimate", "--synthetic", "300", "--degree", "4", "--probes", "2",
@@ -162,7 +219,9 @@ class TestEstimateCommand:
         warnings = [line for line in capsys.readouterr().err.splitlines()
                     if line.startswith("warning:")]
         assert len(warnings) == 1 and "did not converge" in warnings[0]
-        assert json.loads(out.read_text())["spectral_interval"]["converged"] is False
+        doc = json.loads(out.read_text())
+        assert doc["spectral_interval"]["converged"] is False
+        assert doc["exact_trace"] is None and doc["polynomial_trace"] is None
         assert run(*args, "--interval", "exact") == 0
         assert "warning" not in capsys.readouterr().err
 
@@ -175,12 +234,19 @@ class TestReproduceCommand:
         text = capsys.readouterr().out
         assert "aggregate relative difference" in text
         rep = json.loads(out.read_text())
-        assert rep["aggregate_relative_difference"] <= 1e-12
-        assert rep["total_matvecs"] == {"one_sided_chebyshev": 200,
-                                        "two_sided_chebyshev": 100}
+        assert rep["config"] == reproduce_config(60, trials=10, degree=20).as_dict()
+        comp = rep["comparisons"]["one_sided_chebyshev|two_sided_chebyshev"]
+        assert comp["aggregate_relative_difference"] <= 1e-12
+        assert {name: r["total_matvecs"] for name, r in rep["evaluators"].items()} == {
+            "one_sided_chebyshev": 200, "two_sided_chebyshev": 100}
+        assert f"exact trace f(A):        {rep['exact_trace']:.6e}" in text
 
     def test_too_small_dim_is_usage_error(self):
         assert run("reproduce", "--dim", "10") == 1
+
+    @pytest.mark.parametrize("args", [("--trials", "0"), ("--degree", "0")])
+    def test_invalid_configuration_is_usage_error(self, args):
+        assert run("reproduce", *args) == 1
 
 
 class TestMatvecCountCommand:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twosided.chebyshev import (CHEBYSHEV, STANDARD, PolynomialCoefficients,
                                 eval_scalar, interpolate)
@@ -210,6 +211,21 @@ class TestScalarConsistency:
         r = EVALUATORS[name](op, z, p)
         want = z[0] ** 2 * eval_scalar(p, a)
         assert abs(r.value - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(d=st.integers(1, 40), n=st.integers(0, 40), basis=st.sampled_from([STANDARD, CHEBYSHEV]),
+       seed=st.integers(0, 2**32 - 1))
+def test_two_sided_equals_one_sided(d, n, basis, seed):
+    # spectral radius 1 bounds |z^T p(A) z| by sum |alpha_j| * z.z in both bases
+    rng = np.random.default_rng(seed)
+    M = random_symmetric(d, seed).entries
+    op = DenseSymmetric(M / np.max(np.abs(np.linalg.eigvalsh(M))))
+    p = PolynomialCoefficients(basis, rng.standard_normal(n + 1))
+    z = ProbeSequence(seed, d).vector(0)
+    one = EVALUATORS[f"one_sided_{basis}"](op, z, p)
+    two = EVALUATORS[f"two_sided_{basis}"](op, z, p)
+    assert abs(two.value - one.value) <= 1e-12 * np.sum(np.abs(p.coeffs)) * (z @ z)
 
 
 def test_basis_conversion_cross_check():
