@@ -22,7 +22,7 @@ from .functions import resolve
 from .hutchinson import ProbeSequence, estimate_trace
 from .operators import CountingOperator, load_matrix_market, random_symmetric
 from .quadform import EVALUATORS, evaluator_basis
-from .spectrum import ScaledOperator, SpectralInterval, estimate_interval
+from .spectrum import ScaledOperator, SpectralInterval, enclosing, estimate_interval
 
 __all__ = ["BenchConfig", "reproduce_config", "run_estimate",
            "write_result", "write_probe_csv", "SCHEMA_VERSION"]
@@ -89,9 +89,9 @@ def _resolve_interval(op, spec: str, seed: int) -> tuple[SpectralInterval, str, 
     """The spectral interval, its source, and the eigenvalues when exact."""
     if spec == "exact":
         eigs = np.linalg.eigvalsh(op.to_dense().entries)
-        return SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0), "exact", eigs
+        return enclosing(float(eigs[0]), float(eigs[-1])), "exact", eigs
     if spec == "power":
-        return estimate_interval(op, iters=1000, tol=1e-12, seed=seed), "power", None
+        return estimate_interval(op, iters=1000, tol=1e-8, seed=seed), "power", None
     interval = _user_interval(spec)
     # a_ii = e_i^T A e_i is a Rayleigh quotient, so it lies in [lambda_min, lambda_max]
     diag = op.diagonal()
@@ -226,6 +226,7 @@ def run_estimate(cfg: BenchConfig) -> dict:
             "hi": interval.hi,
             "safety": interval.safety,
             "converged": interval.converged,
+            "matvecs": interval.matvecs,
             "source": interval_source,
         },
         "exact_trace": exact_trace,

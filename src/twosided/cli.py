@@ -88,7 +88,7 @@ def cmd_estimate(matrix_path, synthetic_dim, seed, func_spec, degree, probes,
                       evaluators=names, interval=interval, terms=terms)
     doc = _validated_run(cfg)
     if not doc["spectral_interval"]["converged"]:
-        click.echo("warning: power iteration did not converge; the spectral interval "
+        click.echo("warning: the Lanczos spectral interval did not converge; it "
                    "rests on its 1% safety margin and may not contain the spectrum", err=True)
     if fmt in ("json", "both"):
         write_result(doc, out)

@@ -1,5 +1,5 @@
-"""Extremal-eigenvalue estimation and affine spectral scaling, so arbitrary
-symmetric operators meet the Chebyshev-domain contract (spectrum in [-1, 1])."""
+"""Spectral enclosure by Lanczos with Ritz-residual bounds (Zhou & Li, LAA 2011)
+and affine scaling, so symmetric operators meet the Chebyshev-domain contract."""
 
 from __future__ import annotations
 
@@ -9,26 +9,36 @@ import numpy as np
 
 from .operators import SymmetricOperator
 
-__all__ = ["SpectralInterval", "ScaledOperator", "estimate_interval"]
+__all__ = ["SpectralInterval", "ScaledOperator", "estimate_interval", "enclosing"]
 
 
 @dataclass(frozen=True)
 class SpectralInterval:
-    """Estimated enclosure [lo, hi] of the spectrum.
-
-    ``safety`` records the multiplicative outward margin already applied to
-    the endpoints; ``converged`` is False when power iteration ran out of
-    iterations (the estimates are still usable, just loose).
-    """
+    """Enclosure [lo, hi] of the spectrum. ``safety`` is the relative outward
+    margin already applied to the ends; ``converged`` is False when Lanczos hit
+    its step cap with loose residual bounds (the interval then rests on the
+    margin); ``matvecs`` is its cost."""
 
     lo: float
     hi: float
     safety: float = 0.0
     converged: bool = True
+    matvecs: int = 0
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"spectral interval requires lo < hi, got [{self.lo}, {self.hi}]")
+
+
+def enclosing(lo: float, hi: float, safety: float = 0.0, converged: bool = True,
+              matvecs: int = 0) -> SpectralInterval:
+    """[lo, hi] pushed outward by ``safety`` times its half-width; ValueError
+    when it is numerically one point c, i.e. the operator is c times I."""
+    if hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
+        raise ValueError("degenerate spectral interval: operator is numerically a multiple "
+                         f"of the identity, c*I with c = {0.5 * (lo + hi):.15g}")
+    margin = 0.5 * safety * (hi - lo)
+    return SpectralInterval(lo - margin, hi + margin, safety, converged, matvecs)
 
 
 class ScaledOperator(SymmetricOperator):
@@ -50,57 +60,46 @@ class ScaledOperator(SymmetricOperator):
         return (2.0 * self.inner.matvec(v) - self._shift * v) / self._width
 
 
-def _power_iteration(apply_fn, dim, iters, tol, rng):
-    """Rayleigh-quotient power iteration; returns (eigenvalue, converged)."""
-    v = rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = None
-    for _ in range(iters):
-        w = apply_fn(v)
-        lam_new = float(v @ w)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0, True
-        v = w / norm_w
-        if lam is not None and abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new, True
-        lam = lam_new
-    return lam if lam is not None else 0.0, False
-
-
 def estimate_interval(op: SymmetricOperator, iters: int = 500, tol: float = 1e-10,
                       seed: int = 0, safety: float = 0.01) -> SpectralInterval:
-    """Estimate [lambda_min, lambda_max] by shifted power iteration.
+    """Enclose the spectrum by at most min(iters, dim) Lanczos steps, one matvec each.
 
-    Three sweeps: plain power iteration for the eigenvalue largest in
-    magnitude, a sweep on A - mu I to reach the opposite end of the
-    spectrum, and a re-sweep shifted by that opposite end to refine the
-    first extreme (the shift separates the target from its competitors).
-    Each endpoint is then pushed outward by ``safety`` times the half-width.
-
-    Raises ValueError when the spectrum is (numerically) a single point,
-    i.e. the operator is a multiple of the identity.
-    """
+    The plain three-term recurrence keeps only the tridiagonal T_k (``alpha``,
+    ``beta``). With T_k's extreme eigenpairs (theta, s), the residual bound is
+    r = |s_k| beta_k and the enclosure [theta_min - r_min, theta_max + r_max],
+    widened by ``safety``. The run converges once max(r_min, r_max) <= tol
+    (theta_max - theta_min), checked on a geometric schedule. At a breakdown
+    (beta_k = 0) T_k's eigenvalues are exact, but the start vector may lie in
+    an invariant subspace: the run restarts once from a fresh random vector
+    and ends at the second breakdown. A multiple of I raises ValueError."""
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    rng = np.random.default_rng(seed)
-    d = op.dim
-
-    mu, conv_a = _power_iteration(op.matvec, d, iters, tol, rng)
-    nu, conv_b = _power_iteration(lambda v: op.matvec(v) - mu * v, d, iters, tol, rng)
-    opposite = nu + mu
-    rho, conv_c = _power_iteration(lambda v: op.matvec(v) - opposite * v, d, iters, tol, rng)
-    first = rho + opposite
-
-    lo, hi = sorted((first, opposite))
-    if hi - lo < 1e-14 * max(abs(lo), abs(hi), 1.0):
-        raise ValueError(
-            "degenerate spectral interval: operator is numerically a multiple "
-            f"of the identity (estimates {lo!r}, {hi!r})"
-        )
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * (1.0 + safety)
-    return SpectralInterval(center - half, center + half, safety,
-                            conv_a and conv_b and conv_c)
+    rng, steps = np.random.default_rng(seed), min(iters, op.dim)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    v_prev, b, scale, breakdowns, check = np.zeros(op.dim), 0.0, 0.0, 0, 10
+    for k in range(1, steps + 1):
+        if b == 0.0:   # first step, or after a breakdown
+            v = rng.standard_normal(op.dim)
+            v /= np.linalg.norm(v)
+        w = op.matvec(v) - b * v_prev
+        a = float(v @ w)
+        w -= a * v
+        b = float(np.linalg.norm(w))
+        scale = max(scale, abs(a), b)
+        if b <= 1e-13 * scale:
+            b, breakdowns = 0.0, breakdowns + 1
+        alpha[k - 1], beta[k - 1] = a, b
+        if breakdowns == 2 or k in (check, steps):
+            T = np.diag(alpha[:k])
+            T.flat[k::k + 1] = beta[:k - 1]   # subdiagonal; eigh reads the lower triangle
+            theta, s = np.linalg.eigh(T)
+            r_min, r_max = b * np.abs(s[-1, [0, -1]])
+            converged = bool(max(r_min, r_max) <= tol * (theta[-1] - theta[0]))
+            if breakdowns == 2 or k == steps or (converged and b):
+                break
+            check = k + max(10, k // 4)
+        if b:
+            v_prev, v = v, w / b
+    return enclosing(float(theta[0] - r_min), float(theta[-1] + r_max), safety, converged, k)

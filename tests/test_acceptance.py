@@ -264,7 +264,7 @@ def test_criterion_9_spectral_scaling():
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     print(f"\nCRITERION 9 PASS: exact scaling extremes within 1e-10; "
-          f"power-iteration intervals contained spectrum in {contained}/20 instances "
+          f"Lanczos intervals contained spectrum in {contained}/20 instances "
           f"({elapsed:.2f} s)")
 
 

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from twosided import bench
 from twosided.bench import reproduce_config
 from twosided.chebyshev import load_coefficients
 from twosided.cli import main
@@ -174,6 +175,18 @@ class TestEstimateCommand:
                    "--out", str(tmp_path / "r.json")) == 2
         assert "line 2: matrix dimension must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("interval", ["power", "exact"])
+    def test_multiple_of_identity_is_validation_error(self, tmp_path, capsys, interval):
+        mtx = tmp_path / "two.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "3 3 3\n1 1 2.0\n2 2 2.0\n3 3 2.0\n")
+        out = tmp_path / "r.json"
+        assert run("estimate", "--matrix", str(mtx), "--interval", interval,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "operator is numerically a multiple of the identity, c*I with c = 2\n" in err
+        assert not out.exists()
+
     def test_interval_excluding_a_diagonal_entry_is_validation_error(self, tmp_path, capsys):
         # spectrum about [-13.8, 13.7], diagonal [-3.8, 2.6]: [-1, 1] cannot hold it
         out = tmp_path / "r.json"
@@ -211,20 +224,28 @@ class TestEstimateCommand:
         doc = json.loads(out.read_text())
         assert doc["exact_trace"] is None and doc["polynomial_trace"] is None
 
-    def test_unconverged_power_interval_warns(self, tmp_path, capsys):
+    def test_unconverged_power_interval_warns(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "r.json"
         args = ("estimate", "--synthetic", "300", "--degree", "4", "--probes", "2",
                 "--out", str(out))
+        assert run(*args, "--interval", "power") == 0
+        assert "warning" not in capsys.readouterr().err
+        doc = json.loads(out.read_text())
+        assert doc["spectral_interval"]["converged"] is True
+
+        estimate_interval = bench.estimate_interval
+        monkeypatch.setattr(bench, "estimate_interval",
+                            lambda op, **kw: estimate_interval(op, **{**kw, "iters": 2}))
         assert run(*args, "--interval", "power") == 0
         warnings = [line for line in capsys.readouterr().err.splitlines()
                     if line.startswith("warning:")]
         assert len(warnings) == 1 and "did not converge" in warnings[0]
         doc = json.loads(out.read_text())
         assert doc["spectral_interval"]["converged"] is False
+        assert doc["spectral_interval"]["matvecs"] == 2
         assert doc["exact_trace"] is None and doc["polynomial_trace"] is None
         assert run(*args, "--interval", "exact") == 0
         assert "warning" not in capsys.readouterr().err
-
 
 class TestReproduceCommand:
     def test_desk_scale(self, tmp_path, capsys):

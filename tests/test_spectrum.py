@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twosided.chebyshev import interpolate
 from twosided.hutchinson import estimate_trace, exact_trace_f
-from twosided.operators import CountingOperator, DenseSymmetric, random_symmetric
+from twosided.operators import (CountingOperator, DenseSymmetric, SparseSymmetric,
+                                SymmetricOperator, random_symmetric)
 from twosided.spectrum import ScaledOperator, SpectralInterval, estimate_interval
 
 
@@ -35,6 +38,25 @@ class TestEstimateInterval:
         assert not iv.converged
         assert iv.lo < iv.hi
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_start_vector_in_an_invariant_subspace(self, rank):
+        # the seed's start vector spans (rank 1) or lies in (rank 2) an
+        # eigenspace block: the first breakdown must not end the run
+        d, seed = 50, 3
+        v = np.random.default_rng(seed).standard_normal(d)
+        x = np.random.default_rng(seed + 1).standard_normal(d)
+        v /= np.linalg.norm(v)
+        x -= (x @ v) * v
+        x /= np.linalg.norm(x)
+        block = [v] if rank == 1 else [(v + x) / np.sqrt(2), (v - x) / np.sqrt(2)]
+        A = 10.0 * np.eye(d)
+        for j, e in enumerate(block):
+            A -= (9.0 - j) * np.outer(e, e)
+        A = (A + A.T) / 2
+        eigs = np.linalg.eigvalsh(A)
+        iv = estimate_interval(DenseSymmetric(A), iters=1000, tol=1e-8, seed=seed)
+        assert iv.lo <= eigs[0] and eigs[-1] <= iv.hi
+
     def test_parameter_validation(self):
         op = random_symmetric(5, 0)
         with pytest.raises(ValueError):
@@ -47,6 +69,83 @@ class TestEstimateInterval:
         a = estimate_interval(op, iters=300, tol=1e-10, seed=9)
         b = estimate_interval(op, iters=300, tol=1e-10, seed=9)
         assert (a.lo, a.hi) == (b.lo, b.hi)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(d=st.integers(1, 60), kind=st.sampled_from(["random", "shifted", "diagonal", "rank_one"]),
+       seed=st.integers(0, 2**32 - 1), shift=st.floats(-1e4, 1e4))
+def test_interval_contains_spectrum(d, kind, seed, shift):
+    rng = np.random.default_rng([seed, 1])   # not the start vector's stream
+    A = random_symmetric(d, seed).entries
+    if kind == "shifted":
+        A = A + shift * np.linalg.norm(A, 2) * np.eye(d)
+    elif kind == "diagonal":   # repeated eigenvalues: the run breaks down early
+        A = np.diag(rng.integers(-3, 4, d).astype(float))
+    elif kind == "rank_one":
+        u = rng.standard_normal(d)
+        A = np.eye(d) + np.outer(u, u)
+    eigs = np.linalg.eigvalsh(A)
+    op = DenseSymmetric(A)
+    if d == 1 or (kind == "diagonal" and eigs[0] == eigs[-1]):
+        with pytest.raises(ValueError, match="multiple of the identity"):
+            estimate_interval(op, iters=1000, tol=1e-8, seed=seed)
+        return
+    iv = estimate_interval(op, iters=1000, tol=1e-8, seed=seed)
+    assert iv.lo <= eigs[0] and eigs[-1] <= iv.hi
+    assert iv.converged and iv.matvecs <= d
+
+
+def permutation_pattern(dim, degree, seed):
+    """Diagonal 10 plus ``degree`` random permutation patterns of weight
+    +-0.75..0.825: clustered extreme eigenvalues, slow for power iteration."""
+    rng = np.random.default_rng(seed)
+    i = np.tile(np.arange(dim), degree)
+    j = np.concatenate([rng.permutation(dim) for _ in range(degree)])
+    off = i != j
+    keys = np.unique(np.maximum(i, j)[off] * dim + np.minimum(i, j)[off])
+    vals = 0.75 * rng.choice([-1.0, 1.0], size=keys.size) * (1.0 + 0.1 * rng.random(keys.size))
+    rows, cols = keys // dim, keys % dim
+    diag = np.arange(dim)
+    return SparseSymmetric.from_coo(dim, np.concatenate([diag, rows, cols]),
+                                    np.concatenate([diag, cols, rows]),
+                                    np.concatenate([np.full(dim, 10.0), vals, vals]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_permutation_pattern_converges_in_few_matvecs(seed):
+    op = permutation_pattern(1000, 10, seed)
+    counter = CountingOperator(op)
+    iv = estimate_interval(counter, iters=1000, tol=1e-8, seed=seed)
+    eigs = np.linalg.eigvalsh(op.to_dense().entries)
+    assert iv.converged and iv.matvecs == counter.count <= 200
+    assert iv.lo <= eigs[0] and eigs[-1] <= iv.hi
+
+
+class _Diagonal(SymmetricOperator):
+    def __init__(self, diag):
+        self.diag, self.dim = diag, diag.size
+
+    def matvec(self, v):
+        return self.diag * v
+
+
+def test_memory_stays_linear_in_dim():
+    # no stored Lanczos basis: ten times the steps adds less than one vector
+    d = 200_000
+    op = _Diagonal(np.linspace(1.0, 2.0, d))
+
+    def peak_bytes(steps):
+        tracemalloc.start()
+        try:
+            iv = estimate_interval(op, iters=steps, tol=1e-15, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            assert iv.matvecs == steps and not iv.converged
+
+    short, long = peak_bytes(20), peak_bytes(200)
+    assert long - short < 8 * d
+    assert long < 10 * 8 * d
 
 
 class TestScaleOperator:
