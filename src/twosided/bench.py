@@ -24,12 +24,16 @@ from .operators import CountingOperator, load_matrix_market, random_symmetric
 from .quadform import EVALUATORS, evaluator_basis
 from .spectrum import ScaledOperator, SpectralInterval, enclosing, estimate_interval
 
-__all__ = ["BenchConfig", "reproduce_config", "run_estimate",
+__all__ = ["BenchConfig", "ConfigError", "reproduce_config", "run_estimate",
            "write_result", "write_probe_csv", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 
 _SMALL_TERM_CUTOFF = 1e-8
+
+
+class ConfigError(ValueError):
+    """An invalid ``estimate`` configuration, found before any work starts."""
 
 
 @dataclass
@@ -47,23 +51,26 @@ class BenchConfig:
     terms: bool = False
 
     def validate(self):
-        """Raise ValueError naming the first invalid setting."""
+        """Raise ConfigError naming the first invalid setting."""
         if (self.matrix_path is None) == (self.synthetic_dim is None):
-            raise ValueError("give exactly one of a matrix file or a synthetic dimension")
+            raise ConfigError("give exactly one of a matrix file or a synthetic dimension")
         if self.synthetic_dim is not None and self.synthetic_dim < 1:
-            raise ValueError("synthetic dimension must be >= 1")
+            raise ConfigError("synthetic dimension must be >= 1")
         if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+            raise ConfigError("degree must be >= 1")
         if self.probes < 1:
-            raise ValueError("probe count must be >= 1")
+            raise ConfigError("probe count must be >= 1")
         for name in self.evaluators:
             if name not in EVALUATORS:
-                raise ValueError(
+                raise ConfigError(
                     f"unknown evaluator {name!r}; choose from {', '.join(sorted(EVALUATORS))}")
         if not self.evaluators:
-            raise ValueError("at least one evaluator must be selected")
-        resolve(self.function)
-        _user_interval(self.interval)
+            raise ConfigError("at least one evaluator must be selected")
+        try:
+            resolve(self.function)
+            _user_interval(self.interval)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def as_dict(self):
         return {**asdict(self), "evaluators": list(self.evaluators)}

@@ -17,19 +17,11 @@ import sys
 import click
 import numpy as np
 
-from .bench import BenchConfig, reproduce_config, run_estimate, \
+from .bench import BenchConfig, ConfigError, reproduce_config, run_estimate, \
     write_probe_csv, write_result
 from .chebyshev import Interval, eval_scalar, function_values, interpolate, save_coefficients
 from .functions import resolve
 from .quadform import EVALUATORS, matvec_count
-
-
-def _validated_run(cfg: BenchConfig) -> dict:
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
-    return run_estimate(cfg)
 
 
 @click.group()
@@ -86,7 +78,7 @@ def cmd_estimate(matrix_path, synthetic_dim, seed, func_spec, degree, probes,
     cfg = BenchConfig(matrix_path=matrix_path, synthetic_dim=synthetic_dim,
                       seed=seed, function=func_spec, degree=degree, probes=probes,
                       evaluators=names, interval=interval, terms=terms)
-    doc = _validated_run(cfg)
+    doc = run_estimate(cfg)
     if not doc["spectral_interval"]["converged"]:
         click.echo("warning: the Lanczos spectral interval did not converge; it "
                    "rests on its 1% safety margin and may not contain the spectrum", err=True)
@@ -114,7 +106,7 @@ def cmd_reproduce(full, dim, trials, degree, out):
     d = 5000 if full else dim
     if d < 50:
         raise click.UsageError("desk-scale dimension must be >= 50")
-    doc = _validated_run(reproduce_config(d, trials, degree))
+    doc = run_estimate(reproduce_config(d, trials, degree))
     click.echo(f"dimension {d}, degree {degree}, {trials} trials, f = {doc['function']}")
     click.echo(f"exact trace f(A):        {doc['exact_trace']:.6e}")
     click.echo(f"polynomial trace p(A):   {doc['polynomial_trace']:.6e}")
@@ -154,6 +146,9 @@ def main(argv=None) -> int:
         exc.show()
         return 2
     except click.Abort:
+        return 1
+    except ConfigError as exc:
+        click.echo(f"usage error: {exc}", err=True)
         return 1
     except (ValueError, OSError, np.linalg.LinAlgError, MemoryError,
             json.JSONDecodeError) as exc:

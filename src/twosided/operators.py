@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
+import warnings
 
 import numpy as np
 
@@ -87,12 +88,17 @@ def _summed(dim, rows, cols, values):
 class SparseSymmetric(SymmetricOperator):
     """CSR storage of the full symmetric pattern.
 
-    Both triangles are stored so that ``matvec`` is one row sweep; the
-    pattern and values must be exactly symmetric (mirror before
-    constructing if the source stores one triangle).
+    Both triangles are stored so that ``matvec`` is one row sweep, scipy's
+    compiled CSR product over the operator's own arrays; the pattern and
+    values must be exactly symmetric (mirror before constructing if the
+    source stores one triangle).
     """
 
     def __init__(self, dim, indptr, indices, data):
+        # imported here rather than at module level, so that runs on dense
+        # input never pay scipy's import time and memory
+        import scipy.sparse
+
         self.dim = int(dim)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
@@ -106,20 +112,22 @@ class SparseSymmetric(SymmetricOperator):
             raise ValueError("indptr must rise from 0 to the number of stored entries")
         if np.any(self.indices < 0) or np.any(self.indices >= self.dim):
             raise ValueError("column index out of range")
-        # expanded row index for a vectorized, deterministic matvec
-        self._rows = np.repeat(np.arange(self.dim), counts)
-        keys = _keys(self.dim, self._rows, self.indices)
+        rows = np.repeat(np.arange(self.dim), counts)
+        keys = _keys(self.dim, rows, self.indices)
         unordered = np.flatnonzero(np.diff(keys) <= 0)
         if unordered.size:
-            row = int(self._rows[unordered[0] + 1])
+            row = int(rows[unordered[0] + 1])
             raise ValueError(f"column indices not strictly increasing in row {row}")
-        mirrored = _keys(self.dim, self.indices, self._rows)
+        mirrored = _keys(self.dim, self.indices, rows)
         order = np.argsort(mirrored)
         if not (np.array_equal(mirrored[order], keys)
                 and np.array_equal(self.data[order], self.data)):
             raise ValueError("sparse pattern or values are not symmetric")
-        for arr in (self.indptr, self.indices, self.data, self._rows):
+        for arr in (self.indptr, self.indices, self.data):
             arr.setflags(write=False)
+        # a view of the three arrays above, not a copy
+        self._csr = scipy.sparse.csr_array((self.data, self.indices, self.indptr),
+                                           shape=(self.dim, self.dim))
 
     @classmethod
     def from_coo(cls, dim, rows, cols, values):
@@ -136,21 +144,15 @@ class SparseSymmetric(SymmetricOperator):
         return cls(dim, indptr, keys % dim, data)
 
     def matvec(self, v):
-        v = self._check_vector(v)
-        return np.bincount(self._rows, weights=self.data * v[self.indices],
-                           minlength=self.dim)
+        # each row's products are summed from 0 in column order
+        return self._csr @ self._check_vector(v)
 
     def diagonal(self) -> np.ndarray:
         """Diagonal entries; 0 where a row stores none."""
-        out = np.zeros(self.dim)
-        on = self._rows == self.indices
-        out[self._rows[on]] = self.data[on]
-        return out
+        return self._csr.diagonal()
 
     def to_dense(self) -> DenseSymmetric:
-        M = np.zeros((self.dim, self.dim))
-        M[self._rows, self.indices] = self.data
-        return DenseSymmetric(M)
+        return DenseSymmetric(self._csr.toarray())
 
 
 class CountingOperator(SymmetricOperator):
@@ -195,15 +197,37 @@ def load_matrix_market(path):
     their stored triangle mirrored); array files yield :class:`DenseSymmetric`.
     ``general`` files must hold symmetric content to within 1e-12 relative
     and are symmetrized on load.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MatrixMarketError("line 1: empty file")
 
-    header = lines[0].split()
+    The data section of a coordinate file is parsed by one ``np.loadtxt``
+    call. Where that parse could differ from reading the file line by line
+    with ``str.split``, ``int`` and ``float``, or where the parsed arrays fail
+    a check, the file is read line by line instead, so every file yields the
+    line-by-line result or its line-numbered error.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # str.splitlines also breaks lines at these bytes; np.loadtxt reads them as spaces
+    regular = raw.isascii() and not any(c in raw for c in b"\x0b\x0c\x1c\x1d\x1e")
+    del raw
+    if regular:
+        with open(path) as fh:
+            fmt, symmetry, d, nnz, _ = _read_header(line.rstrip("\n") for line in fh)
+            triplets = _parse_coordinate_bulk(fh, d, nnz) if fmt == "coordinate" else None
+        if triplets is not None:
+            return _assemble_coordinate(d, *triplets, symmetry)
+    return _load_by_line(path)
+
+
+def _read_header(lines):
+    """Format, symmetry, dimension, entry count (None for array files) and
+    size line number, read from an iterator over a file's lines; the
+    iterator is left at the first data line."""
+    first = next(lines, None)
+    if first is None:
+        raise MatrixMarketError("line 1: empty file")
+    header = first.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket":
-        raise MatrixMarketError(f"line 1: malformed Matrix Market header: {lines[0]!r}")
+        raise MatrixMarketError(f"line 1: malformed Matrix Market header: {first!r}")
     _, obj, fmt, field, symmetry = header
     if obj.lower() != "matrix" or field.lower() != "real":
         raise MatrixMarketError(f"line 1: only 'matrix ... real' files are supported")
@@ -215,42 +239,74 @@ def load_matrix_market(path):
         raise MatrixMarketError(f"line 1: unsupported symmetry {symmetry!r}")
 
     # skip comments and blank lines up to the size line
-    k = 1
-    while k < len(lines) and (not lines[k].strip() or lines[k].lstrip().startswith("%")):
-        k += 1
-    if k == len(lines):
-        raise MatrixMarketError(f"line {len(lines)}: missing size line")
-    size_line_no = k + 1
-    size_tokens = lines[k].split()
+    line_no = 1
+    for line in lines:
+        line_no += 1
+        if line.strip() and not line.lstrip().startswith("%"):
+            break
+    else:
+        raise MatrixMarketError(f"line {line_no}: missing size line")
     try:
-        dims = [int(t) for t in size_tokens]
+        dims = [int(t) for t in line.split()]
     except ValueError:
         raise MatrixMarketError(
-            f"line {size_line_no}: non-integer token in size line: {lines[k]!r}"
+            f"line {line_no}: non-integer token in size line: {line!r}"
         ) from None
     expected = 3 if fmt == "coordinate" else 2
     if len(dims) != expected:
         raise MatrixMarketError(
-            f"line {size_line_no}: expected {expected} size fields, got {len(dims)}"
+            f"line {line_no}: expected {expected} size fields, got {len(dims)}"
         )
     nrows, ncols = dims[0], dims[1]
     if nrows != ncols:
-        raise MatrixMarketError(f"line {size_line_no}: matrix is not square ({nrows}x{ncols})")
+        raise MatrixMarketError(f"line {line_no}: matrix is not square ({nrows}x{ncols})")
     if nrows < 1:
-        raise MatrixMarketError(f"line {size_line_no}: matrix dimension must be >= 1, got {nrows}")
+        raise MatrixMarketError(f"line {line_no}: matrix dimension must be >= 1, got {nrows}")
     if fmt == "coordinate" and dims[2] < 0:
-        raise MatrixMarketError(f"line {size_line_no}: entry count must be >= 0, got {dims[2]}")
+        raise MatrixMarketError(f"line {line_no}: entry count must be >= 0, got {dims[2]}")
+    return fmt, symmetry, nrows, (dims[2] if fmt == "coordinate" else None), line_no
 
+
+_TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _parse_coordinate_bulk(fh, d, nnz):
+    """0-based rows and columns and the values of a coordinate data section,
+    parsed by one ``np.loadtxt`` call; None leaves the file to the
+    line-by-line reader.
+
+    loadtxt reads a token only where ``int`` or ``float`` reads the same
+    number, and fails on the others (such as ``1_000``, which both accept)
+    and on comment lines. None also follows from a wrong entry count, an
+    index out of range or a value that is not finite."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty data section only warns
+            t = np.loadtxt(fh, dtype=_TRIPLET, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    i, j, v = t["i"], t["j"], t["v"]
+    if (t.size != nnz or np.any((i < 1) | (i > d) | (j < 1) | (j > d))
+            or not np.all(np.isfinite(v))):
+        return None
+    return i - 1, j - 1, v.copy()
+
+
+def _load_by_line(path):
+    """:func:`load_matrix_market`, reading the data section line by line."""
+    with open(path) as fh:
+        lines = iter(fh.read().splitlines())
+    fmt, symmetry, d, nnz, size_line_no = _read_header(lines)
     entries = []
-    for offset, raw in enumerate(lines[k + 1:], start=size_line_no + 1):
+    for offset, raw in enumerate(lines, start=size_line_no + 1):
         text = raw.strip()
         if not text or text.startswith("%"):
             continue
         entries.append((offset, text.split()))
 
     if fmt == "coordinate":
-        return _build_coordinate(nrows, dims[2], entries, symmetry)
-    return _build_array(nrows, entries, symmetry)
+        return _assemble_coordinate(d, *_parse_coordinate(d, nnz, entries), symmetry)
+    return _build_array(d, entries, symmetry)
 
 
 def _value(line_no, token, kind=float):
@@ -286,7 +342,8 @@ def _symmetrized(a, at):
         return _finite((a + at) / 2.0)
 
 
-def _build_coordinate(d, nnz, entries, symmetry):
+def _parse_coordinate(d, nnz, entries):
+    """0-based rows and columns and the values of tokenized coordinate lines."""
     if len(entries) != nnz:
         raise MatrixMarketError(
             f"expected {nnz} coordinate entries, found {len(entries)}"
@@ -302,7 +359,10 @@ def _build_coordinate(d, nnz, entries, symmetry):
         rows.append(i - 1)
         cols.append(j - 1)
         vals.append(v)
-    rows, cols, vals = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals)
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals)
+
+
+def _assemble_coordinate(d, rows, cols, vals, symmetry):
     if symmetry == "symmetric":
         # each off-diagonal entry is followed by its mirror, so duplicates sum in file order
         src = np.repeat(np.arange(rows.size), np.where(rows != cols, 2, 1))

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twosided
 from twosided import bench
 from twosided.bench import reproduce_config
 from twosided.chebyshev import load_coefficients
@@ -149,6 +154,33 @@ class TestEstimateCommand:
         assert run("estimate", "--synthetic", "10", *args, "--out", str(out)) == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_configuration_is_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = bench.BenchConfig.validate
+        monkeypatch.setattr(bench.BenchConfig, "validate",
+                            lambda cfg: calls.append(cfg) or validate(cfg))
+        assert run("estimate", "--synthetic", "10", "--probes", "2",
+                   "--out", str(tmp_path / "r.json")) == 0
+        assert len(calls) == 1
+        with pytest.raises(bench.ConfigError, match="probe count"):
+            bench.BenchConfig(synthetic_dim=10, probes=0).validate()
+
+    def test_dense_input_never_imports_scipy(self, tmp_path):
+        # SparseSymmetric imports scipy; dense runs must not pay its memory.
+        # A fresh interpreter, since other tests import scipy into this one.
+        out = str(tmp_path / "r.json")
+        code = (
+            "import sys\n"
+            "from twosided import cli\n"
+            f"assert cli.main(['estimate', '--synthetic', '50', '--probes', '5', '--out', {out!r}]) == 0\n"
+            f"assert cli.main(['estimate', '--synthetic', '50', '--interval', 'power', '--out', {out!r}]) == 0\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n")
+        src = str(Path(twosided.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_non_finite_matrix_entry_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twosided import operators
 from twosided.operators import (CountingOperator, DenseSymmetric,
                                 MatrixMarketError, SparseSymmetric,
                                 load_matrix_market, random_symmetric)
@@ -115,6 +116,44 @@ def test_sparse_diagonal():
     op = sparse_from_dense(M)
     assert np.array_equal(op.diagonal(), np.diag(M))
     assert np.array_equal(DenseSymmetric(M).diagonal(), np.diag(M))
+
+
+@st.composite
+def coo_patterns(draw):
+    """Dimension and symmetric triplets: a random pattern whose duplicates sum
+    (each entry is followed by its mirror, so both sums run in one order) and
+    whose rows may be empty, or a diagonal with some rows empty."""
+    d = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows = cols = np.flatnonzero(rng.random(d) < 0.7)
+        return d, rows, cols, rng.standard_normal(rows.size)
+    k = int(rng.integers(0, 3 * d + 1))
+    # k entries drawn from about k/2 positions, so many positions repeat
+    r, c = rng.integers(0, d, (k // 2 + 1, 2))[rng.integers(0, k // 2 + 1, k)].T
+    vals = rng.standard_normal(k) * 10.0 ** rng.integers(-100, 101, k)
+    return (d, np.column_stack([r, c]).ravel(), np.column_stack([c, r]).ravel(),
+            np.repeat(vals, 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(pattern=coo_patterns())
+def test_sparse_matvec_is_the_row_order_sum(pattern):
+    # the reference sums each row's products from 0 in column order
+    d, r, c, vals = pattern
+    op = SparseSymmetric.from_coo(d, r, c, vals)
+    rows = np.repeat(np.arange(d), np.diff(op.indptr))
+    rng = np.random.default_rng(d)
+    for v in (rng.standard_normal(d), rng.standard_normal(d) * 10.0 ** rng.integers(-80, 81, d)):
+        expected = np.bincount(rows, weights=op.data * v[op.indices], minlength=d)
+        assert op.matvec(v).tobytes() == expected.tobytes()
+    diagonal = np.zeros(d)
+    on = rows == op.indices
+    diagonal[rows[on]] = op.data[on]
+    assert op.diagonal().tobytes() == diagonal.tobytes()
+    dense = np.zeros((d, d))
+    dense[rows, op.indices] = op.data
+    assert op.to_dense().entries.tobytes() == dense.tobytes()
 
 
 class TestRandomSymmetric:
@@ -344,7 +383,7 @@ class TestMatrixMarket:
             load_matrix_market(path)
 
 
-_FAULTS = ["none"] * 6 + ["header", "size", "count", "value", "index", "arity"]
+_FAULTS = ["none"] * 6 + ["header", "size", "count", "value", "index", "arity", "quirk"]
 _BAD_HEADERS = ["%%Matrix", "%%MatrixMarket matrix coordinate real",
                 "%%MatrixMarket vector coordinate real general",
                 "%%MatrixMarket matrix tensor real general",
@@ -353,6 +392,21 @@ _BAD_HEADERS = ["%%Matrix", "%%MatrixMarket matrix coordinate real",
 # 7.5 breaks the symmetry of 'general' content; 1.7e308 sums overflow
 _BAD_VALUES = ["nan", "inf", "-Infinity", "1e400", "x", "1.0.0", "0x10", "7.5",
                "1.7e308", "-1.7e308"]
+# rewritings of a line's tokens that np.loadtxt and str.split/int/float may read differently
+_QUIRKS = [
+    "\t".join,
+    lambda t: " ".join(t) + " % note",
+    lambda t: " ".join(t) + " #",
+    lambda t: " ".join("+" + x for x in t),
+    lambda t: " ".join(["0_" + t[0], *t[1:]]),
+    lambda t: " ".join([*t[:-1], "1_000"]),
+    lambda t: " ".join([t[0] + ".0", *t[1:]]),
+    lambda t: " ".join(["9" * 20, *t[1:]]),
+    lambda t: " ".join(t[:-1]) + "\x0c" + t[-1],
+    lambda t: " ".join(t) + "\x0b",
+    lambda t: "\xa0".join(t),
+    lambda t: " ".join(t) + "\u2028",
+]
 
 
 @st.composite
@@ -391,19 +445,97 @@ def matrix_market_files(draw):
             tokens[-1] = draw(st.sampled_from(_BAD_VALUES))
         elif fault == "index" and fmt == "coordinate":
             tokens[draw(st.integers(0, 1))] = draw(st.sampled_from(["0", "-1", str(d + 1)]))
+        elif fault == "quirk":
+            tokens = [draw(st.sampled_from(_QUIRKS))(tokens)]
         else:  # one token too few or too many
             tokens = tokens[:-1] if len(tokens) > 1 else tokens * 2
         lines[k] = " ".join(tokens)
-    return "\n".join([header, "% comment", size, *lines]) + "\n"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header, "% comment", size, *lines]) + newline
+
+
+def _arrays(op):
+    """The stored arrays of an operator, as bytes."""
+    if isinstance(op, SparseSymmetric):
+        return op.dim, op.indptr.tobytes(), op.indices.tobytes(), op.data.tobytes()
+    return op.entries.tobytes()
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: the operator's arrays or the error message."""
+    try:
+        return _arrays(load(path))
+    except MatrixMarketError as exc:
+        return str(exc)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(text=matrix_market_files())
 def test_reader_returns_operator_or_matrix_market_error(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "f.mtx"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8", newline="")
     try:
         op = load_matrix_market(path)
-    except MatrixMarketError:
-        return
-    assert op.dim >= 1
+    except MatrixMarketError as exc:
+        outcome = str(exc)
+    else:
+        assert op.dim >= 1
+        outcome = _arrays(op)
+    # the bulk parse of coordinate data agrees with the line-by-line reader
+    assert outcome == _outcome(operators._load_by_line, path)
+
+
+_SYMMETRIC_3X3 = "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 2.0\n{}\n3 3 2.0\n"
+
+
+@pytest.mark.parametrize("line, newline, parsed_in_bulk, result", [
+    ("2 1 0.5", "\n", True, 0.5),
+    ("+2 +1 +0.5", "\n", True, 0.5),
+    ("2\t1\t0.5", "\n", True, 0.5),
+    ("2 1 0.5", "\r\n", True, 0.5),
+    ("2 1 1_000", "\n", False, 1000.0),
+    ("0_2 1 0.5", "\n", False, 0.5),
+    ("2 1 0.5 % note", "\n", False, "line 4: expected 'i j value', got 5 tokens"),
+    ("2 1 0.5 #", "\n", False, "line 4: expected 'i j value', got 4 tokens"),
+    ("2.0 1 0.5", "\n", False, "line 4: non-numeric token '2.0'"),
+    ("99999999999999999999 1 0.5", "\n", False,
+     "line 4: index (99999999999999999999,1) out of range for dimension 3"),
+    ("2 1\x0c0.5", "\n", False, "expected 3 coordinate entries, found 4"),
+])
+def test_bulk_parse_agrees_with_line_by_line(tmp_path, monkeypatch, line, newline,
+                                              parsed_in_bulk, result):
+    path = tmp_path / "q.mtx"
+    path.write_text(_SYMMETRIC_3X3.format(line).replace("\n", newline), newline="")
+    by_line = operators._load_by_line
+    fallbacks = []
+    monkeypatch.setattr(operators, "_load_by_line", lambda p: fallbacks.append(p) or by_line(p))
+    outcome = _outcome(load_matrix_market, path)
+    assert outcome == _outcome(by_line, path)
+    assert (not fallbacks) == parsed_in_bulk
+    if isinstance(result, str):
+        assert outcome == result
+    else:
+        assert np.frombuffer(outcome[3]).tolist() == [2.0, result, result, 2.0]
+
+
+def test_coordinate_memory_per_stored_entry(tmp_path):
+    import scipy.sparse  # noqa: F401  (SparseSymmetric imports it; not part of the load)
+    d = 6000
+    rng = np.random.default_rng(0)
+    i = np.tile(np.arange(d), 10)
+    j = np.concatenate([rng.permutation(d) for _ in range(10)])
+    keys = np.unique(np.maximum(i, j) * d + np.minimum(i, j))
+    path = tmp_path / "big.mtx"
+    with open(path, "w") as fh:
+        fh.write(f"%%MatrixMarket matrix coordinate real symmetric\n{d} {d} {keys.size}\n")
+        np.savetxt(fh, np.column_stack([keys // d + 1, keys % d + 1, rng.standard_normal(keys.size)]),
+                   fmt="%d %d %.17g")
+    tracemalloc.start()
+    try:
+        op = load_matrix_market(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert keys.size >= 5e4
+    assert op.indptr[-1] == 2 * keys.size - np.count_nonzero(keys // d == keys % d)
+    assert peak < 300 * keys.size
