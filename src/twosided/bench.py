@@ -25,11 +25,13 @@ from .quadform import EVALUATORS, evaluator_basis
 from .spectrum import ScaledOperator, SpectralInterval, enclosing, estimate_interval
 
 __all__ = ["BenchConfig", "ConfigError", "reproduce_config", "run_estimate",
-           "write_result", "write_probe_csv", "SCHEMA_VERSION"]
+           "write_result", "write_probe_csv", "SCHEMA_VERSION", "INTERPOLATION_TOLERANCE"]
 
 SCHEMA_VERSION = 1
 
 _SMALL_TERM_CUTOFF = 1e-8
+
+INTERPOLATION_TOLERANCE = 1e-6
 
 
 class ConfigError(ValueError):
@@ -129,15 +131,27 @@ def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
+def _max_rel_diff(a, b) -> float:
+    """The largest :func:`_rel_diff` over paired probe values."""
+    a, b = np.asarray(a), np.asarray(b)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(np.abs(a - b), scale, out=np.zeros(a.size), where=scale > 0)
+    return float(rel.max())
+
+
 def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, want_terms: bool):
     """Run every evaluator over the same m probes; return per-evaluator
-    records, per-probe values/terms, and pairwise comparisons."""
+    records, pairwise comparisons and the probe checksum. The checksum makes
+    every probe, before and outside the evaluators' timers; the evaluators
+    then draw the stored probes."""
+    seq = ProbeSequence(probe_seed, op.dim)
+    checksum = _probe_checksum(seq, m)
     records = {}
     estimates = {}
     for name, coeffs in coeffs_by_name.items():
         counter = CountingOperator(op)
         t0 = time.perf_counter()
-        est = estimate_trace(counter, coeffs, name, m, probe_seed, want_terms=want_terms)
+        est = estimate_trace(counter, coeffs, name, m, seq, want_terms=want_terms)
         elapsed = time.perf_counter() - t0
         records[name] = {
             "mean": est.mean,
@@ -156,45 +170,39 @@ def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, want_terms: bool):
             comp = {
                 "aggregate_relative_difference": _rel_diff(records[a]["mean"],
                                                            records[b]["mean"]),
-                "max_per_probe_relative_difference": max(
-                    _rel_diff(x, y) for x, y in zip(estimates[a].probe_values,
-                                                    estimates[b].probe_values)
-                ),
+                "max_per_probe_relative_difference": _max_rel_diff(
+                    estimates[a].probe_values, estimates[b].probe_values),
             }
             if want_terms and evaluator_basis(a) == evaluator_basis(b):
                 comp.update(_term_comparison(estimates[a].probe_terms,
                                              estimates[b].probe_terms))
             comparisons[f"{a}|{b}"] = comp
-    return records, comparisons, _probe_checksum(ProbeSequence(probe_seed, op.dim), m)
+    return records, comparisons, checksum
 
 
 def _term_comparison(terms_a, terms_b):
     """Per-term agreement: relative error on significant terms (above
     1e-8 of the largest term magnitude in that probe), absolute error on
     the rest."""
-    max_rel = 0.0
-    max_abs_small = 0.0
-    for ta, tb in zip(terms_a, terms_b):
-        mag = np.maximum(np.abs(ta), np.abs(tb))
-        big = float(np.max(mag))
-        if big == 0.0:
-            continue
-        diff = np.abs(ta - tb)
-        significant = mag > _SMALL_TERM_CUTOFF * big
-        if np.any(significant):
-            max_rel = max(max_rel, float(np.max(diff[significant] / mag[significant])))
-        if np.any(~significant):
-            max_abs_small = max(max_abs_small, float(np.max(diff[~significant])))
+    ta, tb = np.asarray(terms_a), np.asarray(terms_b)
+    mag = np.maximum(np.abs(ta), np.abs(tb))
+    diff = np.abs(ta - tb)
+    significant = mag > _SMALL_TERM_CUTOFF * mag.max(axis=1, keepdims=True)
+    rel = np.divide(diff, mag, out=np.zeros(mag.shape), where=significant)
     return {
-        "max_per_term_relative_difference": max_rel,
-        "max_small_term_absolute_difference": max_abs_small,
+        "max_per_term_relative_difference": float(rel.max(initial=0.0)),
+        "max_small_term_absolute_difference":
+            float(np.where(significant, 0.0, diff).max(initial=0.0)),
     }
 
 
 def run_estimate(cfg: BenchConfig) -> dict:
     """Execute an ``estimate`` run and return the result document. With the
-    exact interval it holds ``exact_trace`` (f summed over the eigenvalues) and
-    ``polynomial_trace`` (the interpolant, what the estimates are unbiased for)."""
+    exact interval it holds ``exact_trace`` (f summed over the eigenvalues),
+    ``polynomial_trace`` (the interpolant, what the estimates are unbiased for)
+    and ``interpolation_relative_error``, their difference over the sum of
+    |f(lambda_i)|; above :data:`INTERPOLATION_TOLERANCE` the interpolant is
+    too coarse for the estimate to stand for tr f(A)."""
     cfg.validate()
     if cfg.matrix_path is not None:
         op = load_matrix_market(cfg.matrix_path)
@@ -210,12 +218,17 @@ def run_estimate(cfg: BenchConfig) -> dict:
                          f"[{interval.lo!r}, {interval.hi!r}]") from None
     coeffs_by_name = {name: cheb if evaluator_basis(name) == CHEBYSHEV else _standard(cheb)
                       for name in cfg.evaluators}
-    exact_trace = polynomial_trace = None
+    exact_trace = polynomial_trace = interpolation_error = None
     with np.errstate(over="ignore", invalid="ignore"):
         if eigs is not None:
-            exact_trace = float(np.sum(function_values(fspec.fn, eigs, "eigenvalue")))
+            fv = function_values(fspec.fn, eigs, "eigenvalue")
+            exact_trace = float(np.sum(fv))
             polynomial_trace = float(np.sum(
                 np.polynomial.chebyshev.chebval(domain.to_canonical(eigs), cheb.coeffs)))
+            # sum |f(lambda_i)| does not vanish when the trace cancels; it is 0 only
+            # when f is, and then the plain difference is reported
+            scale, diff = float(np.sum(np.abs(fv))), abs(polynomial_trace - exact_trace)
+            interpolation_error = diff / scale if scale > 0 else diff
         records, comparisons, checksum = _paired_run(
             ScaledOperator(op, interval), coeffs_by_name, cfg.probes, cfg.seed, cfg.terms)
     for name, rec in records.items():
@@ -238,6 +251,7 @@ def run_estimate(cfg: BenchConfig) -> dict:
         },
         "exact_trace": exact_trace,
         "polynomial_trace": polynomial_trace,
+        "interpolation_relative_error": interpolation_error,
         "probe_checksum": checksum,
         "evaluators": records,
         "comparisons": comparisons,

@@ -17,8 +17,8 @@ import sys
 import click
 import numpy as np
 
-from .bench import BenchConfig, ConfigError, reproduce_config, run_estimate, \
-    write_probe_csv, write_result
+from .bench import INTERPOLATION_TOLERANCE, BenchConfig, ConfigError, reproduce_config, \
+    run_estimate, write_probe_csv, write_result
 from .chebyshev import Interval, eval_scalar, function_values, interpolate, save_coefficients
 from .functions import resolve
 from .quadform import EVALUATORS, matvec_count
@@ -82,6 +82,11 @@ def cmd_estimate(matrix_path, synthetic_dim, seed, func_spec, degree, probes,
     if not doc["spectral_interval"]["converged"]:
         click.echo("warning: the Lanczos spectral interval did not converge; it "
                    "rests on its 1% safety margin and may not contain the spectrum", err=True)
+    error = doc["interpolation_relative_error"]
+    if error is not None and error > INTERPOLATION_TOLERANCE:
+        click.echo(f"warning: the degree-{degree} interpolant misses tr f(A) by {error:.3g} "
+                   f"of sum |f(lambda)| (tolerance {INTERPOLATION_TOLERANCE:g}); the estimates "
+                   "are of the polynomial trace, raise --degree", err=True)
     if fmt in ("json", "both"):
         write_result(doc, out)
         click.echo(f"wrote result to {out}")

@@ -26,18 +26,26 @@ class ProbeSequence:
     """Index-addressable Rademacher probes in {-1, +1}^d.
 
     Probe i is a pure function of (seed, i, dim), so the sequence can be
-    consumed out of order or concurrently without changing any vector.
+    consumed out of order or concurrently without changing any vector. The
+    sign bits of every probe made are kept, d/8 bytes each, so a repeated
+    index is unpacked rather than generated again; each call returns a new
+    array.
     """
 
     def __init__(self, seed: int, dim: int):
         self.seed = int(seed) & _SEED_MASK
         self.dim = int(dim)
+        self._bits = {}
 
     def vector(self, i: int) -> np.ndarray:
         if i < 0:
             raise ValueError(f"probe index must be non-negative, got {i}")
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, int(i)]))
-        return 2.0 * rng.integers(0, 2, size=self.dim) - 1.0
+        i = int(i)
+        bits = self._bits.get(i)
+        if bits is None:
+            rng = np.random.default_rng(np.random.SeedSequence([self.seed, i]))
+            bits = self._bits[i] = np.packbits(rng.integers(0, 2, size=self.dim))
+        return 2.0 * np.unpackbits(bits, count=self.dim) - 1.0
 
 
 @dataclass
@@ -58,13 +66,16 @@ class TraceEstimate:
 
 
 def estimate_trace(op: SymmetricOperator, coeffs: PolynomialCoefficients,
-                   evaluator, m: int, seed: int,
+                   evaluator, m: int, seed,
                    max_workers: int | None = None,
                    want_terms: bool = False) -> TraceEstimate:
     """Hutchinson estimate of trace p(A) using ``m`` probes.
 
     ``evaluator`` is one of the four quadform evaluators, given as a name
     from :data:`twosided.quadform.EVALUATORS` or as the callable itself.
+    ``seed`` is an integer probe seed, or a :class:`ProbeSequence` of the
+    operator's dimension to draw probes 0..m-1 from, so that several
+    estimates can share the probes it has made.
     Probes may be evaluated in parallel (``max_workers > 1``); results are
     reduced in probe-index order either way, so the estimate is a pure
     function of the arguments. ``want_terms`` keeps each probe's per-term
@@ -73,7 +84,10 @@ def estimate_trace(op: SymmetricOperator, coeffs: PolynomialCoefficients,
     if m < 1:
         raise ValueError(f"number of probes must be >= 1, got m={m}")
     ev = EVALUATORS[evaluator] if isinstance(evaluator, str) else evaluator
-    seq = ProbeSequence(seed, op.dim)
+    seq = seed if isinstance(seed, ProbeSequence) else ProbeSequence(seed, op.dim)
+    if seq.dim != op.dim:
+        raise ValueError(f"probe sequence of dimension {seq.dim} for an operator of "
+                         f"dimension {op.dim}")
 
     def probe(i):
         return ev(op, seq.vector(i), coeffs, want_terms=want_terms)

@@ -1,0 +1,67 @@
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from twosided.bench import _SMALL_TERM_CUTOFF, _max_rel_diff, _rel_diff, _term_comparison
+
+
+def loop_max_rel_diff(values_a, values_b):
+    """The per-probe loop the array form replaces, kept as the reference."""
+    return max(_rel_diff(x, y) for x, y in zip(values_a, values_b))
+
+
+def loop_term_comparison(terms_a, terms_b):
+    """The per-probe loop the array form replaces, kept as the reference."""
+    max_rel = 0.0
+    max_abs_small = 0.0
+    for ta, tb in zip(terms_a, terms_b):
+        mag = np.maximum(np.abs(ta), np.abs(tb))
+        big = float(np.max(mag))
+        if big == 0.0:
+            continue
+        diff = np.abs(ta - tb)
+        significant = mag > _SMALL_TERM_CUTOFF * big
+        if np.any(significant):
+            max_rel = max(max_rel, float(np.max(diff[significant] / mag[significant])))
+        if np.any(~significant):
+            max_abs_small = max(max_abs_small, float(np.max(diff[~significant])))
+    return {
+        "max_per_term_relative_difference": max_rel,
+        "max_small_term_absolute_difference": max_abs_small,
+    }
+
+
+@st.composite
+def paired_terms(draw):
+    """Per-probe terms of two evaluators: (m, n+1) arrays, m = 1..6, where a
+    probe may be all zeros, hold only terms far below its largest, or agree
+    exactly, and b is a within a few units in the last place."""
+    m, width = draw(st.integers(1, 6)), draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((m, width)) * 10.0 ** rng.integers(-20, 20, (m, width))
+    b = a * (1.0 + rng.integers(-4, 5, (m, width)) * np.finfo(float).eps)
+    for i in range(m):
+        kind = draw(st.sampled_from(["plain", "zero", "small", "equal", "signed_zero"]))
+        if kind == "zero":
+            a[i] = b[i] = 0.0
+        elif kind == "small":   # one large term, the rest below the 1e-8 cutoff
+            a[i, 1:] *= 1e-12 / np.max(np.abs(a[i, 1:]))
+            a[i, 0] = 1.0
+            b[i] = a[i] + rng.standard_normal(width) * 1e-25
+        elif kind == "equal":
+            b[i] = a[i]
+        elif kind == "signed_zero":
+            a[i], b[i] = 0.0, -0.0
+    return a, b
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(pair=paired_terms())
+def test_array_comparisons_equal_the_loops(pair):
+    a, b = pair
+    values_a, values_b = a.sum(axis=1).tolist(), b.sum(axis=1).tolist()
+    got = _max_rel_diff(values_a, values_b)
+    assert repr(got) == repr(loop_max_rel_diff(values_a, values_b))
+    terms_a, terms_b = list(a), list(b)
+    got = _term_comparison(terms_a, terms_b)
+    want = loop_term_comparison(terms_a, terms_b)
+    assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}

@@ -1,12 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import twosided
 from twosided import bench
@@ -277,7 +280,110 @@ class TestEstimateCommand:
         assert doc["spectral_interval"]["matvecs"] == 2
         assert doc["exact_trace"] is None and doc["polynomial_trace"] is None
         assert run(*args, "--interval", "exact") == 0
+        # no Lanczos warning; degree 4 is far too low for exp_scaled:10 on this spectrum
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning:")]
+        assert len(warned) == 1 and "interpolant" in warned[0]
+
+    def test_inaccurate_interpolant_warns(self, tmp_path, capsys):
+        # exp_scaled:10 at degree 20 on the spectrum of a d = 300 matrix, about [-24.5, 23.9]
+        out = tmp_path / "r.json"
+        assert run("estimate", "--synthetic", "300", "--probes", "5", "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        error = doc["interpolation_relative_error"]
+        assert error == pytest.approx(abs(doc["polynomial_trace"] - doc["exact_trace"])
+                                      / doc["exact_trace"], rel=1e-12)   # f > 0
+        assert error > 0.1
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning:")]
+        assert len(warned) == 1 and "degree-20 interpolant" in warned[0]
+
+    @pytest.mark.parametrize("interval", ["exact", "power", "-40,40"])
+    def test_accurate_interpolant_is_silent(self, tmp_path, capsys, interval):
+        # the small-many benchmark workload's arguments
+        out = tmp_path / "r.json"
+        assert run("estimate", "--synthetic", "200", "--seed", "3",
+                   "--function", "exp_scaled:0.5", "--degree", "20", "--probes", "10",
+                   "--evaluators", "one_sided_standard,two_sided_standard,"
+                   "one_sided_chebyshev,two_sided_chebyshev",
+                   "--interval", interval, "--terms", "--out", str(out)) == 0
         assert "warning" not in capsys.readouterr().err
+        error = json.loads(out.read_text())["interpolation_relative_error"]
+        if interval == "exact":
+            assert 0 <= error < 1e-6
+        else:
+            assert error is None
+
+    def test_matrix_overflowing_its_scaling_is_validation_error(self, tmp_path, capsys):
+        # entries near the largest double: the interval [-5e307, 1e308] is finite,
+        # but 2 a_11 = 2e308 is not
+        mtx = tmp_path / "big.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "3 3 4\n1 1 1.0e308\n2 2 -5.0e307\n3 3 1.0e307\n2 1 1.0e300\n")
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("estimate", "--matrix", str(mtx), "--function", "inverse_shifted",
+                       "--probes", "3", "--out", str(out)) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "scaling the matrix to [-1, 1] overflows double precision" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+MATRIX_FUNCTIONS = st.one_of(
+    st.sampled_from(["identity", "power:2", "power:3", "inverse_shifted", "log_shifted",
+                     "exp_scaled:0.5", "exp_scaled:10"]),
+    st.floats(10.0, 1000.0).map(lambda c: f"exp_scaled:{c!r}"),
+    st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=4).map(
+        lambda cs: "poly:" + ",".join(map(repr, cs))),
+)
+
+
+@st.composite
+def estimate_arguments(draw, directory):
+    """``estimate`` arguments over a small synthetic matrix or a Matrix Market
+    file whose entries are scaled by up to 1e300."""
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        source = ["--synthetic", str(draw(st.integers(1, 12)))]
+    else:
+        d = draw(st.integers(2, 8))
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** draw(st.integers(-300, 300))
+        rows, cols = np.tril_indices(d)
+        keep = rng.random(rows.size) < draw(st.floats(0.3, 1.0))
+        values = scale * rng.standard_normal(rows.size)
+        lines = [f"{i + 1} {j + 1} {v!r}" for i, j, v in
+                 zip(rows[keep].tolist(), cols[keep].tolist(), values[keep].tolist())]
+        path = directory / f"m{draw(st.integers(0, 10**9))}.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        f"{d} {d} {len(lines)}\n" + "".join(line + "\n" for line in lines))
+        source = ["--matrix", str(path)]
+    return ["estimate", *source, "--seed", str(seed),
+            "--function", draw(MATRIX_FUNCTIONS),
+            "--degree", str(draw(st.integers(1, 8))), "--probes", str(draw(st.integers(1, 4))),
+            "--interval", draw(st.sampled_from(["exact", "power"])),
+            "--evaluators", "one_sided_standard,two_sided_standard,"
+            "one_sided_chebyshev,two_sided_chebyshev"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_estimate_never_exits_0_with_a_non_finite_estimate(tmp_path_factory, data):
+    directory = tmp_path_factory.mktemp("estimate", numbered=True)
+    argv = data.draw(estimate_arguments(directory))
+    out = directory / "r.json"
+    rc = main([*argv, "--out", str(out)])
+    assert rc in (0, 2)
+    if rc == 0:
+        for rec in json.loads(out.read_text())["evaluators"].values():
+            stats = [rec["mean"], *rec["probe_values"]]
+            if rec["sample_stddev"] is not None:
+                stats.append(rec["sample_stddev"])
+            assert all(map(math.isfinite, stats)), argv
+
 
 class TestReproduceCommand:
     def test_desk_scale(self, tmp_path, capsys):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from twosided.chebyshev import CHEBYSHEV, PolynomialCoefficients, eval_scalar, \
+from twosided.chebyshev import CHEBYSHEV, STANDARD, PolynomialCoefficients, eval_scalar, \
     interpolate
 from twosided.hutchinson import ProbeSequence, estimate_trace, exact_trace_f
 from twosided.operators import DenseSymmetric, random_symmetric
@@ -36,6 +38,58 @@ class TestRademacher:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             ProbeSequence(0, 4).vector(-1)
+
+
+class TestProbeCache:
+    def test_repeated_and_out_of_order_calls_match_a_fresh_sequence(self):
+        seq = ProbeSequence(5, 203)
+        order = [3, 0, 3, 7, 1, 0, 7, 2, 3]
+        for i in order:
+            assert seq.vector(i).tobytes() == ProbeSequence(5, 203).vector(i).tobytes()
+
+    def test_threaded_calls_match_a_fresh_sequence(self):
+        seq = ProbeSequence(8, 1000)
+        indices = [i % 13 for i in range(200)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(seq.vector, indices))
+        for i, z in zip(indices, got):
+            assert z.tobytes() == ProbeSequence(8, 1000).vector(i).tobytes()
+
+    def test_returned_vectors_are_fresh(self):
+        seq = ProbeSequence(2, 64)
+        first = seq.vector(4)
+        first[:] = 7.0
+        again = seq.vector(4)
+        assert again.tobytes() == ProbeSequence(2, 64).vector(4).tobytes()
+        again[:] = 7.0
+        assert seq.vector(4).tobytes() == ProbeSequence(2, 64).vector(4).tobytes()
+
+    def test_sign_bits_are_the_cache(self):
+        # 400 probes at d = 20000 are 3.2e8 bytes as float64 and 1e6 as bits
+        m, d = 400, 20_000
+        seq = ProbeSequence(1, d)
+        ProbeSequence(2, d).vector(0)   # first-call allocations are not the cache
+        tracemalloc.start()
+        try:
+            for i in range(m):
+                seq.vector(i)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * d / 4
+
+    def test_shared_sequence_gives_the_seeded_estimate(self):
+        op = random_symmetric(30, 1)
+        p = interpolate(math.exp, 7)
+        seq = ProbeSequence(4, 30)
+        for name in EVALUATORS:
+            coeffs = p if name.endswith("chebyshev") else PolynomialCoefficients(
+                STANDARD, np.polynomial.chebyshev.cheb2poly(p.coeffs))
+            shared = estimate_trace(op, coeffs, name, 6, seq)
+            seeded = estimate_trace(op, coeffs, name, 6, 4)
+            assert shared.probe_values == seeded.probe_values
+        with pytest.raises(ValueError, match="dimension 31"):
+            estimate_trace(op, p, "two_sided_chebyshev", 2, ProbeSequence(4, 31))
 
 
 class TestEstimateTrace:

@@ -195,6 +195,69 @@ class TestScaleOperator:
             SpectralInterval(1.0, 1.0)
 
 
+@st.composite
+def stored_operators(draw):
+    """A dense or sparse operator of dimension 1..40: a full random matrix, a
+    sparse pattern whose rows may store no diagonal entry, the empty pattern,
+    or a diagonal-only matrix."""
+    d = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["dense", "sparse", "empty", "diagonal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    M = scale * random_symmetric(d, int(rng.integers(2**32))).entries
+    if kind == "dense":
+        return DenseSymmetric(M)
+    if kind == "sparse":
+        keep = rng.random((d, d)) < draw(st.floats(0.0, 1.0))
+        M = np.where(keep | keep.T, M, 0.0)
+        if draw(st.booleans()):   # some rows store no diagonal entry
+            M[np.diag_indices(d)] *= rng.random(d) < 0.5
+    elif kind == "empty":
+        M = np.zeros((d, d))
+    else:
+        M = np.diag(np.diag(M))
+    rows, cols = np.nonzero(M)
+    return SparseSymmetric.from_coo(d, rows, cols, M[rows, cols])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(op=stored_operators(), lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+def test_stored_scaling_is_the_affine_map(op, lo, width, seed):
+    v = np.random.default_rng(seed).standard_normal(op.dim)
+    scale = float(np.max(np.abs(op.to_dense().entries))) or 1.0
+    iv = SpectralInterval(scale * lo, scale * lo + scale * width)
+    S = ScaledOperator(op, iv)
+    assert type(S.stored) is type(op)
+    shift, w = iv.lo + iv.hi, iv.hi - iv.lo
+    want = (2.0 * op.matvec(v) - shift * v) / w
+    # rounding scales with the summed magnitudes, not with the (cancelling) sums
+    magnitude = (2.0 * np.abs(op.to_dense().entries) @ np.abs(v) + abs(shift) * np.abs(v)) / w
+    assert np.max(np.abs(S.matvec(v) - want)) <= 1e-13 * np.max(magnitude)
+    # on [-1, 1] every stored entry is a_ij itself
+    unit = ScaledOperator(op, SpectralInterval(-1.0, 1.0))
+    assert type(unit.stored) is type(op)
+    assert unit.matvec(v).tobytes() == op.matvec(v).tobytes()
+
+
+def test_stored_sparse_scaling_inserts_missing_diagonal():
+    # row 0 stores its diagonal, row 1 only an off-diagonal, row 2 nothing
+    op = SparseSymmetric.from_coo(3, [0, 0, 1], [0, 1, 0], [4.0, 1.0, 1.0])
+    S = ScaledOperator(op, SpectralInterval(-2.0, 6.0))
+    assert S.stored.indptr.tolist() == [0, 2, 4, 5]
+    assert S.stored.indices.tolist() == [0, 1, 0, 1, 2]
+    assert S.stored.data.tolist() == [(8.0 - 4.0) / 8.0, 0.25, 0.25, -0.5, -0.5]
+    assert S.stored.indices is not op.indices   # the pattern grew
+    full = SparseSymmetric.from_coo(2, [0, 1], [0, 1], [1.0, 2.0])
+    assert ScaledOperator(full, SpectralInterval(-2.0, 6.0)).stored.indices is full.indices
+
+
+def test_stored_scaling_overflow_is_value_error():
+    op = DenseSymmetric(np.diag([1e308, -5e307]))
+    with pytest.raises(ValueError, match="overflows double precision"):
+        ScaledOperator(op, SpectralInterval(-5e307, 1e308))
+
+
 def test_function_composition_consistency():
     # interpolating f composed with the inverse scaling map and applying the
     # result to the scaled operator estimates trace f(A)
