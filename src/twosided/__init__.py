@@ -1,8 +1,8 @@
 """Stochastic trace estimation with two-sided quadratic-form evaluation.
 
-Evaluates z^T p(A) z for symmetric A and polynomials in the standard or
-Chebyshev basis using ceil(n/2) matrix-vector products instead of n,
-alongside one-sided baselines, Chebyshev interpolation, Hutchinson trace
+Computes the moments z^T T_k(A) z (or z^T A^k z), k <= n, of symmetric A, and
+so z^T p(A) z, with ceil(n/2) matrix-vector products instead of n, alongside
+one-sided baselines, Chebyshev interpolation, Hutchinson trace
 estimation, spectral scaling, and a benchmark CLI.
 """
 
@@ -12,8 +12,8 @@ from .chebyshev import (CHEBYSHEV, STANDARD, Interval, PolynomialCoefficients,
 from .hutchinson import ProbeSequence, TraceEstimate, estimate_trace, exact_trace_f
 from .operators import (CountingOperator, DenseSymmetric, SparseSymmetric,
                         SymmetricOperator, load_matrix_market, random_symmetric)
-from .quadform import (EVALUATORS, EvalReport, one_sided_chebyshev,
-                       one_sided_standard, two_sided_chebyshev, two_sided_standard)
+from .quadform import (EVALUATORS, combine, one_sided_chebyshev, one_sided_standard,
+                       two_sided_chebyshev, two_sided_standard)
 from .spectrum import ScaledOperator, SpectralInterval, estimate_interval
 
 __version__ = "0.1.0"
@@ -25,7 +25,7 @@ __all__ = [
     "ProbeSequence", "TraceEstimate", "estimate_trace", "exact_trace_f",
     "CountingOperator", "DenseSymmetric", "SparseSymmetric",
     "SymmetricOperator", "load_matrix_market", "random_symmetric",
-    "EVALUATORS", "EvalReport", "one_sided_chebyshev", "one_sided_standard",
+    "EVALUATORS", "combine", "one_sided_chebyshev", "one_sided_standard",
     "two_sided_chebyshev", "two_sided_standard",
     "ScaledOperator", "SpectralInterval", "estimate_interval",
 ]

@@ -139,7 +139,7 @@ def _max_rel_diff(a, b) -> float:
     return float(rel.max())
 
 
-def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, want_terms: bool):
+def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, terms: bool):
     """Run every evaluator over the same m probes; return per-evaluator
     records, pairwise comparisons and the probe checksum. The checksum makes
     every probe, before and outside the evaluators' timers; the evaluators
@@ -151,7 +151,7 @@ def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, want_terms: bool):
     for name, coeffs in coeffs_by_name.items():
         counter = CountingOperator(op)
         t0 = time.perf_counter()
-        est = estimate_trace(counter, coeffs, name, m, seq, want_terms=want_terms)
+        est = estimate_trace(counter, coeffs, name, m, seq)
         elapsed = time.perf_counter() - t0
         records[name] = {
             "mean": est.mean,
@@ -173,17 +173,17 @@ def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, want_terms: bool):
                 "max_per_probe_relative_difference": _max_rel_diff(
                     estimates[a].probe_values, estimates[b].probe_values),
             }
-            if want_terms and evaluator_basis(a) == evaluator_basis(b):
-                comp.update(_term_comparison(estimates[a].probe_terms,
-                                             estimates[b].probe_terms))
+            if terms and evaluator_basis(a) == evaluator_basis(b):
+                ta, tb = (coeffs_by_name[k].coeffs * estimates[k].moments for k in (a, b))
+                comp.update(_term_comparison(ta, tb))
             comparisons[f"{a}|{b}"] = comp
     return records, comparisons, checksum
 
 
 def _term_comparison(terms_a, terms_b):
-    """Per-term agreement: relative error on significant terms (above
-    1e-8 of the largest term magnitude in that probe), absolute error on
-    the rest."""
+    """Per-term agreement of two (m, n+1) term arrays: relative error on
+    significant terms (above 1e-8 of the largest term magnitude in that
+    probe), absolute error on the rest."""
     ta, tb = np.asarray(terms_a), np.asarray(terms_b)
     mag = np.maximum(np.abs(ta), np.abs(tb))
     diff = np.abs(ta - tb)

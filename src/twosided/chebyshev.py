@@ -52,8 +52,12 @@ class Interval:
         return (2.0 * x - self.a - self.b) / (self.b - self.a)
 
     def from_canonical(self, t):
-        """Inverse of :meth:`to_canonical`."""
-        return 0.5 * ((self.b - self.a) * t + self.a + self.b)
+        """Inverse of :meth:`to_canonical`: 0.5 ((b - a) t + a + b), with the ends
+        quartered first and the sum doubled last. Scaling by a power of 2 is exact
+        for normal numbers, so the value is the same wherever that formula is
+        finite, and for t in [-1, 1] no partial sum exceeds 3/4 of the largest
+        double."""
+        return 2.0 * ((0.25 * self.b - 0.25 * self.a) * t + 0.25 * self.a + 0.25 * self.b)
 
 
 CANONICAL = Interval(-1.0, 1.0)
@@ -106,7 +110,11 @@ def interpolate(f, n: int, interval: Interval = CANONICAL) -> PolynomialCoeffici
     C = np.cos(np.pi * np.outer(j, j) / n)
     w = np.ones(n + 1)
     w[0] = w[-1] = 0.5
-    alpha = (2.0 / n) * (C @ (w * fv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = (2.0 / n) * (C @ (w * fv))
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError(f"the Chebyshev coefficients overflow double precision: f reaches "
+                         f"{float(np.max(np.abs(fv))):.6g} at the nodes")
     alpha[0] *= 0.5
     alpha[-1] *= 0.5
     return PolynomialCoefficients(CHEBYSHEV, alpha, interval)

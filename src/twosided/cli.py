@@ -46,8 +46,12 @@ def cmd_interpolate(func_spec, degree, interval, out):
         raise click.UsageError(str(exc)) from None
     p = interpolate(fspec.fn, degree, domain)
     grid = np.linspace(domain.a, domain.b, 1000)
-    residual = np.max(np.abs(np.array([eval_scalar(p, x) for x in grid])
-                             - function_values(fspec.fn, grid, "grid point")))
+    fv = function_values(fspec.fn, grid, "grid point")
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.max(np.abs(np.array([eval_scalar(p, x) for x in grid]) - fv))
+    if not np.isfinite(residual):
+        raise ValueError(f"evaluating the degree-{degree} interpolant on the 1000-point grid "
+                         "overflows double precision")
     save_coefficients(p, out)
     click.echo(f"wrote {degree + 1} coefficients to {out}")
     click.echo(f"max interpolation residual on 1000-point grid: {residual:.6e}")

@@ -1,16 +1,17 @@
-"""Hutchinson trace estimation over the quadratic-form evaluators, with
-counter-based Rademacher probes and a dense exact-trace oracle."""
+"""Hutchinson trace estimation over the moment evaluators (a probe's value is
+sum_k alpha_k mu_k), with counter-based Rademacher probes and a dense
+exact-trace oracle."""
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chebyshev import PolynomialCoefficients
 from .operators import DenseSymmetric, SymmetricOperator
-from .quadform import EVALUATORS
+from .quadform import EVALUATORS, combine, evaluator_basis, matvec_count
 
 __all__ = [
     "ProbeSequence",
@@ -54,59 +55,69 @@ class TraceEstimate:
 
     ``mean`` is the probe values summed in index order divided by m;
     ``sample_stddev`` uses the m-1 denominator and is None for m = 1.
-    ``probe_terms`` holds each probe's per-term breakdown when requested.
+    Row i of the (m, n+1) ``moments`` array is probe i's mu_0..mu_n.
     """
 
     mean: float
     sample_stddev: float | None
     m: int
     total_matvecs: int
-    probe_values: list[float] = field(default_factory=list)
-    probe_terms: list[np.ndarray] | None = None
+    probe_values: list[float]
+    moments: np.ndarray
 
 
 def estimate_trace(op: SymmetricOperator, coeffs: PolynomialCoefficients,
-                   evaluator, m: int, seed,
-                   max_workers: int | None = None,
-                   want_terms: bool = False) -> TraceEstimate:
+                   evaluator: str, m: int, seed,
+                   max_workers: int | None = None) -> TraceEstimate:
     """Hutchinson estimate of trace p(A) using ``m`` probes.
 
-    ``evaluator`` is one of the four quadform evaluators, given as a name
-    from :data:`twosided.quadform.EVALUATORS` or as the callable itself.
+    ``evaluator`` names one of :data:`twosided.quadform.EVALUATORS`, called
+    once per probe; :func:`~twosided.quadform.combine` weights its moments.
     ``seed`` is an integer probe seed, or a :class:`ProbeSequence` of the
     operator's dimension to draw probes 0..m-1 from, so that several
     estimates can share the probes it has made.
     Probes may be evaluated in parallel (``max_workers > 1``); results are
     reduced in probe-index order either way, so the estimate is a pure
-    function of the arguments. ``want_terms`` keeps each probe's per-term
-    breakdown in ``probe_terms``.
+    function of the arguments.
     """
     if m < 1:
         raise ValueError(f"number of probes must be >= 1, got m={m}")
-    ev = EVALUATORS[evaluator] if isinstance(evaluator, str) else evaluator
+    ev, basis = EVALUATORS[evaluator], evaluator_basis(evaluator)
+    if coeffs.basis != basis:
+        raise ValueError(
+            f"{evaluator} requires {basis}-basis coefficients, got {coeffs.basis}")
     seq = seed if isinstance(seed, ProbeSequence) else ProbeSequence(seed, op.dim)
     if seq.dim != op.dim:
         raise ValueError(f"probe sequence of dimension {seq.dim} for an operator of "
                          f"dimension {op.dim}")
 
     def probe(i):
-        return ev(op, seq.vector(i), coeffs, want_terms=want_terms)
+        return ev(op, seq.vector(i), coeffs.degree)
 
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(probe, range(m)))
+            moments = np.array(list(pool.map(probe, range(m))))
     else:
-        reports = [probe(i) for i in range(m)]
+        moments = np.array([probe(i) for i in range(m)])
 
-    values = [r.value for r in reports]
+    values = combine(coeffs, moments).tolist()
     total = 0.0
     for v in values:
         total += v
-    mean = total / m
-    stddev = float(np.std(values, ddof=1)) if m > 1 else None
-    matvecs = sum(r.matvecs for r in reports)
-    terms = [r.terms for r in reports] if want_terms else None
-    return TraceEstimate(mean, stddev, m, matvecs, values, terms)
+    stddev = _sample_stddev(values) if m > 1 else None
+    return TraceEstimate(total / m, stddev, m, m * matvec_count(evaluator, coeffs.degree),
+                         values, moments)
+
+
+def _sample_stddev(values) -> float:
+    """np.std with the m-1 denominator, taken of the values over max |value|
+    when their squared deviations overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(np.std(values, ddof=1))
+        if not np.isfinite(s):
+            top = float(np.max(np.abs(values)))
+            s = top * float(np.std(np.divide(values, top), ddof=1))
+    return s
 
 
 def exact_trace_f(A: DenseSymmetric, f) -> float:

@@ -14,7 +14,7 @@ from twosided.chebyshev import (CHEBYSHEV, STANDARD, Interval, PolynomialCoeffic
 from twosided.functions import resolve
 from twosided.hutchinson import ProbeSequence, estimate_trace, exact_trace_f
 from twosided.operators import CountingOperator, DenseSymmetric, random_symmetric
-from twosided.quadform import (EVALUATORS, one_sided_chebyshev,
+from twosided.quadform import (EVALUATORS, combine, one_sided_chebyshev,
                                two_sided_chebyshev, two_sided_standard)
 from twosided.spectrum import ScaledOperator, SpectralInterval, estimate_interval
 
@@ -30,12 +30,9 @@ def test_criterion_1_matvec_count_halving():
     A = random_symmetric(100, 0)
     z = ProbeSequence(0, 100).vector(0)
     for n in range(1, 26):
-        coeffs = {STANDARD: PolynomialCoefficients(STANDARD, np.ones(n + 1)),
-                  CHEBYSHEV: PolynomialCoefficients(CHEBYSHEV, np.ones(n + 1))}
         for name, ev in EVALUATORS.items():
-            basis = CHEBYSHEV if name.endswith("chebyshev") else STANDARD
             counter = CountingOperator(A)
-            ev(counter, z, coeffs[basis])
+            ev(counter, z, n)
             expected = n if name.startswith("one_sided") else math.ceil(n / 2)
             assert counter.count == expected, (name, n)
     elapsed = time.perf_counter() - start
@@ -107,13 +104,14 @@ def test_criterion_4_per_term_agreement(desk_reproduction):
     worst_rel, worst_abs = 0.0, 0.0
     for i in range(cfg["probes"]):
         z = seq.vector(i)
-        one = one_sided_chebyshev(S, z, p, want_terms=True)
-        two = two_sided_chebyshev(S, z, p, want_terms=True)
-        assert one.value == rep["evaluators"]["one_sided_chebyshev"]["probe_values"][i]
-        assert two.value == rep["evaluators"]["two_sided_chebyshev"]["probe_values"][i]
-        mag = np.maximum(np.abs(one.terms), np.abs(two.terms))
+        mu_one = one_sided_chebyshev(S, z, p.degree)
+        mu_two = two_sided_chebyshev(S, z, p.degree)
+        assert combine(p, mu_one) == rep["evaluators"]["one_sided_chebyshev"]["probe_values"][i]
+        assert combine(p, mu_two) == rep["evaluators"]["two_sided_chebyshev"]["probe_values"][i]
+        one, two = p.coeffs * mu_one, p.coeffs * mu_two
+        mag = np.maximum(np.abs(one), np.abs(two))
         big = np.max(mag)
-        diff = np.abs(one.terms - two.terms)
+        diff = np.abs(one - two)
         sig = mag > 1e-8 * big
         assert np.all(diff[sig] / mag[sig] <= 1e-9)
         assert np.all(diff[~sig] <= 1e-9 * big)
@@ -142,7 +140,7 @@ def test_criterion_5_standard_basis_oracle():
         alpha = rng.standard_normal(n + 1)
         P = sum(a * np.linalg.matrix_power(M, j) for j, a in enumerate(alpha))
         want = float(z @ P @ z)
-        got = two_sided_standard(op, z, PolynomialCoefficients(STANDARD, alpha)).value
+        got = combine(PolynomialCoefficients(STANDARD, alpha), two_sided_standard(op, z, n))
         err = abs(got - want) / max(1.0, abs(want))
         worst = max(worst, err)
         assert err <= 1e-12
@@ -173,7 +171,7 @@ def test_criterion_6_chebyshev_basis_oracle():
             T0, T1 = T1, 2 * M @ T1 - T0
             P = P + alpha[j] * T1
         want = float(z @ P @ z)
-        got = two_sided_chebyshev(op, z, PolynomialCoefficients(CHEBYSHEV, alpha)).value
+        got = combine(PolynomialCoefficients(CHEBYSHEV, alpha), two_sided_chebyshev(op, z, n))
         err = abs(got - want) / max(1.0, abs(want))
         worst = max(worst, err)
         assert err <= 1e-12

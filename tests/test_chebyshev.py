@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twosided.chebyshev import (CHEBYSHEV, STANDARD, Interval,
                                 PolynomialCoefficients,
                                 chebyshev_nodes, eval_scalar, interpolate,
                                 load_coefficients, save_coefficients)
+
+MAX = float(np.finfo(float).max)
 
 
 def unit_cheb(j, degree=None):
@@ -135,6 +138,38 @@ class TestAffineMap:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             Interval(1.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(-5e307, 1e308), (-1e308, 1.6e308), (-MAX, MAX),
+                                      (0.0, MAX), (-MAX, -1e308), (-3.0, 7.5)])
+    def test_from_canonical_endpoints(self, a, b):
+        iv = Interval(a, b)
+        assert iv.from_canonical(-1.0) == pytest.approx(a, rel=1e-15)
+        assert iv.from_canonical(1.0) == pytest.approx(b, rel=1e-15)
+
+    def test_from_canonical_past_half_the_largest_double(self):
+        # 0.5 ((b - a) t + a + b) overflows to inf on this interval
+        assert Interval(-5e307, 1e308).from_canonical(1.0) == 1e308
+
+    @settings(derandomize=True, deadline=None, max_examples=2000)
+    @given(ends=st.lists(st.floats(-MAX, MAX, allow_subnormal=False), min_size=2,
+                         max_size=2, unique=True).map(sorted),
+           t=st.floats(-1.0, 1.0, allow_subnormal=False))
+    @example(ends=[-MAX, MAX], t=-1.0)
+    @example(ends=[-MAX, MAX], t=1.0)
+    @example(ends=[-5e307, 1e308], t=1.0)
+    @example(ends=[-MAX, -1e308], t=-1.0)
+    @example(ends=[-1e308, 1.6e308], t=-0.7)
+    def test_from_canonical_matches_the_direct_formula_wherever_it_is_finite(self, ends, t):
+        a, b = ends
+        # the formula before the ends were quartered
+        old = 0.5 * ((b - a) * t + a + b)
+        new = Interval(a, b).from_canonical(t)
+        if math.isfinite(old):
+            assert new == old
+        # rounding may carry a value within a few units in the last place of the
+        # largest double past it
+        if max(-a, b) <= MAX * (1 - 2.0**-48):
+            assert math.isfinite(new)
 
 
 class TestIdentities:

@@ -230,13 +230,42 @@ class TestEstimateCommand:
         assert "diagonal entry (3,3) = -1.605" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("function", ["poly:0,1e306", "poly:1e306", "poly:0,1e200"])
+    @pytest.mark.parametrize("function", ["poly:0,1e306", "poly:1e306"])
     def test_non_finite_estimate_is_validation_error(self, tmp_path, capsys, function):
         out = tmp_path / "r.json"
         assert run("estimate", "--synthetic", "500", "--function", function, "--degree", "4",
                    "--probes", "3", "--out", str(out)) == 2
         assert "one_sided_chebyshev overflows double precision" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("function", ["poly:0,1e200"])
+    def test_probe_values_whose_squares_overflow_keep_a_finite_stddev(self, tmp_path, function):
+        # probe values near 1e202: their squared deviations overflow, the estimate does not
+        out = tmp_path / "r.json"
+        assert run("estimate", "--synthetic", "500", "--function", function, "--degree", "4",
+                   "--probes", "3", "--out", str(out)) == 0
+        for rec in json.loads(out.read_text())["evaluators"].values():
+            values = np.array(rec["probe_values"])
+            assert rec["sample_stddev"] == pytest.approx(
+                1e200 * np.std(values / 1e200, ddof=1), rel=1e-12)
+
+    @pytest.mark.parametrize("interval", ["exact", "power"])
+    @pytest.mark.parametrize("scale", ["1e300", "1e306"])
+    def test_huge_entries_keep_a_finite_stddev(self, tmp_path, capsys, scale, interval):
+        # a 5 x 5 file of N(0, 1) * scale entries and f(x) = x: tr A is finite, the
+        # squares of the probe values are not
+        rng = np.random.default_rng(0)
+        rows, cols = np.tril_indices(5)
+        values = float(scale) * rng.standard_normal(rows.size)
+        mtx = tmp_path / "huge.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n5 5 15\n" + "".join(
+            f"{i + 1} {j + 1} {v!r}\n" for i, j, v in zip(rows, cols, values.tolist())))
+        out = tmp_path / "r.json"
+        assert run("estimate", "--matrix", str(mtx), "--function", "identity",
+                   "--interval", interval, "--probes", "10", "--out", str(out)) == 0
+        for rec in json.loads(out.read_text())["evaluators"].values():
+            assert math.isfinite(rec["mean"]) and math.isfinite(rec["sample_stddev"])
+            assert rec["sample_stddev"] > float(scale)
 
     def test_function_failing_at_an_eigenvalue_is_validation_error(self, tmp_path, capsys):
         mtx = tmp_path / "diag.mtx"
@@ -329,6 +358,37 @@ class TestEstimateCommand:
         assert "scaling the matrix to [-1, 1] overflows double precision" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    def test_spectrum_past_half_the_largest_double_reaches_the_scaling(self, tmp_path, capsys):
+        # interpolation on [-5e307, 1e308] maps the node 1 to 1e308, not inf; the
+        # scaling 2 a_11 = 2e308 is what overflows
+        mtx = tmp_path / "big.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "2 2 2\n1 1 1.0e308\n2 2 -5.0e307\n")
+        out = tmp_path / "r.json"
+        assert run("estimate", "--matrix", str(mtx), "--function", "poly:1",
+                   "--out", str(out)) == 2
+        assert "scaling the matrix to [-1, 1] overflows double precision" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (("interpolate", "--function", "exp_scaled:709", "--degree", "20"),
+     "evaluating the degree-20 interpolant on the 1000-point grid overflows double precision"),
+    (("interpolate", "--function", "poly:1e308", "--degree", "20"),
+     "the Chebyshev coefficients overflow double precision"),
+    (("estimate", "--synthetic", "20", "--function", "poly:1e308", "--probes", "3"),
+     "the Chebyshev coefficients overflow double precision"),
+], ids=["interpolate-evaluation", "interpolate-coefficients", "estimate-coefficients"])
+def test_overflow_in_interpolation_is_validation_error(tmp_path, capsys, args, message):
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*args, "--out", str(out)) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 MATRIX_FUNCTIONS = st.one_of(

@@ -10,7 +10,7 @@ from twosided.chebyshev import CHEBYSHEV, STANDARD, PolynomialCoefficients, eval
     interpolate
 from twosided.hutchinson import ProbeSequence, estimate_trace, exact_trace_f
 from twosided.operators import DenseSymmetric, random_symmetric
-from twosided.quadform import EVALUATORS
+from twosided.quadform import EVALUATORS, combine
 from twosided.spectrum import ScaledOperator, SpectralInterval
 
 
@@ -115,19 +115,35 @@ class TestEstimateTrace:
         tol = 4 * est.sample_stddev / math.sqrt(500) + 500 * np.finfo(float).eps * abs(exact)
         assert abs(est.mean - exact) <= tol
 
-    def test_probe_terms(self):
+    def test_moments(self):
         A = random_symmetric(30, 2)
         eigs = np.linalg.eigvalsh(A.entries)
         S = ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
         p = interpolate(lambda x: math.exp(2 * x), 9)
-        est = estimate_trace(S, p, "two_sided_chebyshev", m=4, seed=6, want_terms=True)
-        assert len(est.probe_terms) == 4
-        for i, terms in enumerate(est.probe_terms):
-            r = EVALUATORS["two_sided_chebyshev"](S, ProbeSequence(6, 30).vector(i), p,
-                                                  want_terms=True)
-            assert np.array_equal(terms, r.terms)
-            assert r.value == est.probe_values[i]
-        assert estimate_trace(S, p, "two_sided_chebyshev", m=4, seed=6).probe_terms is None
+        est = estimate_trace(S, p, "two_sided_chebyshev", m=4, seed=6)
+        assert est.moments.shape == (4, 10)
+        for i, moments in enumerate(est.moments):
+            mu = EVALUATORS["two_sided_chebyshev"](S, ProbeSequence(6, 30).vector(i), p.degree)
+            assert np.array_equal(moments, mu)
+            assert combine(p, mu) == est.probe_values[i]
+
+    @pytest.mark.parametrize("max_workers", [None, 4])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 21])
+    def test_probe_values_are_index_order_sums(self, n, max_workers):
+        A = random_symmetric(40, n)
+        eigs = np.linalg.eigvalsh(A.entries)
+        S = ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+        p = PolynomialCoefficients(CHEBYSHEV, np.random.default_rng(n).standard_normal(n + 1))
+        for name in EVALUATORS:
+            coeffs = p if name.endswith("chebyshev") else PolynomialCoefficients(
+                STANDARD, np.polynomial.chebyshev.cheb2poly(p.coeffs))
+            est = estimate_trace(S, coeffs, name, m=9, seed=n, max_workers=max_workers)
+            for value, mu in zip(est.probe_values, est.moments):
+                alpha, mu = coeffs.coeffs.tolist(), mu.tolist()
+                total = alpha[0] * mu[0]
+                for k in range(1, n + 1):
+                    total += alpha[k] * mu[k]
+                assert repr(value) == repr(total), (name, n)
 
     def test_single_probe_cross_method(self):
         A = random_symmetric(60, 5)
