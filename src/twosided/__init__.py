@@ -14,7 +14,7 @@ from .operators import (CountingOperator, DenseSymmetric, SparseSymmetric,
                         SymmetricOperator, load_matrix_market, random_symmetric)
 from .quadform import (EVALUATORS, combine, one_sided_chebyshev, one_sided_standard,
                        two_sided_chebyshev, two_sided_standard)
-from .spectrum import ScaledOperator, SpectralInterval, estimate_interval
+from .spectrum import SpectralInterval, estimate_interval
 
 __version__ = "0.1.0"
 
@@ -27,5 +27,5 @@ __all__ = [
     "SymmetricOperator", "load_matrix_market", "random_symmetric",
     "EVALUATORS", "combine", "one_sided_chebyshev", "one_sided_standard",
     "two_sided_chebyshev", "two_sided_standard",
-    "ScaledOperator", "SpectralInterval", "estimate_interval",
+    "SpectralInterval", "estimate_interval",
 ]

@@ -22,7 +22,7 @@ from .functions import resolve
 from .hutchinson import ProbeSequence, estimate_trace
 from .operators import CountingOperator, load_matrix_market, random_symmetric
 from .quadform import EVALUATORS, evaluator_basis
-from .spectrum import ScaledOperator, SpectralInterval, enclosing, estimate_interval
+from .spectrum import SpectralInterval, enclosing, estimate_interval
 
 __all__ = ["BenchConfig", "ConfigError", "reproduce_config", "run_estimate",
            "write_result", "write_probe_csv", "SCHEMA_VERSION", "INTERPOLATION_TOLERANCE"]
@@ -114,7 +114,11 @@ def _resolve_interval(op, spec: str, seed: int) -> tuple[SpectralInterval, str, 
 
 
 def _standard(cheb: PolynomialCoefficients) -> PolynomialCoefficients:
-    std = np.polynomial.chebyshev.cheb2poly(cheb.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = np.polynomial.chebyshev.cheb2poly(cheb.coeffs)
+    if not np.all(np.isfinite(std)):
+        raise ValueError("converting the Chebyshev coefficients to the standard basis "
+                         "overflows double precision")
     return PolynomialCoefficients(STANDARD,
                                   np.concatenate([std, np.zeros(cheb.degree + 1 - std.size)]))
 
@@ -126,13 +130,9 @@ def _probe_checksum(seq: ProbeSequence, m: int) -> str:
     return h.hexdigest()
 
 
-def _rel_diff(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > 0 else 0.0
-
-
 def _max_rel_diff(a, b) -> float:
-    """The largest :func:`_rel_diff` over paired probe values."""
+    """The largest |a_i - b_i| / max(|a_i|, |b_i|) over paired values (0 where
+    both are 0)."""
     a, b = np.asarray(a), np.asarray(b)
     scale = np.maximum(np.abs(a), np.abs(b))
     rel = np.divide(np.abs(a - b), scale, out=np.zeros(a.size), where=scale > 0)
@@ -168,8 +168,8 @@ def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, terms: bool):
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             comp = {
-                "aggregate_relative_difference": _rel_diff(records[a]["mean"],
-                                                           records[b]["mean"]),
+                "aggregate_relative_difference": _max_rel_diff([records[a]["mean"]],
+                                                               [records[b]["mean"]]),
                 "max_per_probe_relative_difference": _max_rel_diff(
                     estimates[a].probe_values, estimates[b].probe_values),
             }
@@ -230,7 +230,7 @@ def run_estimate(cfg: BenchConfig) -> dict:
             scale, diff = float(np.sum(np.abs(fv))), abs(polynomial_trace - exact_trace)
             interpolation_error = diff / scale if scale > 0 else diff
         records, comparisons, checksum = _paired_run(
-            ScaledOperator(op, interval), coeffs_by_name, cfg.probes, cfg.seed, cfg.terms)
+            op.scaled(interval.lo, interval.hi), coeffs_by_name, cfg.probes, cfg.seed, cfg.terms)
     for name, rec in records.items():
         stats = [rec["mean"], rec["sample_stddev"] or 0.0, *rec["probe_values"]]
         if not all(map(math.isfinite, stats)):

@@ -1,9 +1,11 @@
 """Symmetric linear operators: dense and sparse storage, a matvec-counting
 wrapper, seeded random matrix generation, and Matrix Market ingestion.
 
-All operators are immutable after construction and expose a single
-``matvec`` method; the matvec count is the cost unit everything else in
-this package is measured in.
+All operators are immutable after construction and expose ``matvec``; the
+matvec count is the cost unit everything else in this package is measured
+in. The two storage classes also give ``diagonal``, ``to_dense`` and
+``scaled``, the stored copy mapped onto [-1, 1] that the Chebyshev
+evaluators run on.
 """
 
 from __future__ import annotations
@@ -71,6 +73,26 @@ class DenseSymmetric(SymmetricOperator):
     def to_dense(self) -> DenseSymmetric:
         return self
 
+    def scaled(self, lo: float, hi: float) -> DenseSymmetric:
+        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1]."""
+        values = self.entries.copy()
+        _scale(values.reshape(-1), slice(None, None, self.dim + 1), lo, hi)
+        return DenseSymmetric(values)
+
+
+def _scale(values, diagonal, lo, hi):
+    """Set the flat entries ``values``, whose diagonal ``diagonal`` indexes, to
+    (2 a_ij - (lo + hi) delta_ij) / (hi - lo), computed in that order;
+    ValueError when an entry is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift, width = lo + hi, hi - lo
+        values *= 2.0
+        values[diagonal] -= shift
+        values /= width
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"scaling the matrix to [-1, 1] overflows double precision: "
+                         f"(2 A - ({shift!r}) I) / {width!r} has an entry that is not finite")
+
 
 def _keys(dim, rows, cols):
     """Row-major int64 key ``row * dim + col`` of each entry: sorting by key
@@ -118,16 +140,17 @@ class SparseSymmetric(SymmetricOperator):
         if unordered.size:
             row = int(rows[unordered[0] + 1])
             raise ValueError(f"column indices not strictly increasing in row {row}")
-        mirrored = _keys(self.dim, self.indices, rows)
-        order = np.argsort(mirrored)
-        if not (np.array_equal(mirrored[order], keys)
-                and np.array_equal(self.data[order], self.data)):
-            raise ValueError("sparse pattern or values are not symmetric")
         for arr in (self.indptr, self.indices, self.data):
             arr.setflags(write=False)
         # a view of the three arrays above, not a copy
         self._csr = scipy.sparse.csr_array((self.data, self.indices, self.indptr),
                                            shape=(self.dim, self.dim))
+        # scipy's transpose is a counting sort, so its rows come out ordered
+        mirror = self._csr.T.tocsr()
+        if not (np.array_equal(mirror.indptr, self.indptr)
+                and np.array_equal(mirror.indices, self.indices)
+                and np.array_equal(mirror.data, self.data)):
+            raise ValueError("sparse pattern or values are not symmetric")
 
     @classmethod
     def from_coo(cls, dim, rows, cols, values):
@@ -153,6 +176,22 @@ class SparseSymmetric(SymmetricOperator):
 
     def to_dense(self) -> DenseSymmetric:
         return DenseSymmetric(self._csr.toarray())
+
+    def scaled(self, lo: float, hi: float) -> SparseSymmetric:
+        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1].
+
+        A row that stores no diagonal entry gains one, in column order, so
+        the copy holds at most dim more entries and is built in O(nnz)."""
+        keys = _keys(self.dim, np.repeat(np.arange(self.dim), np.diff(self.indptr)),
+                     self.indices)
+        diagonal = np.arange(self.dim) * (self.dim + 1)
+        at = np.searchsorted(keys, diagonal)
+        # a diagonal key past the last stored key meets the -1 sentinel
+        missing = np.append(keys, -1)[at] != diagonal
+        keys = np.insert(keys, at[missing], diagonal[missing])
+        data = np.insert(self.data, at[missing], 0.0)
+        _scale(data, np.searchsorted(keys, diagonal), lo, hi)
+        return SparseSymmetric._from_keys(self.dim, keys, data)
 
 
 class CountingOperator(SymmetricOperator):

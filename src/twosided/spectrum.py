@@ -1,5 +1,7 @@
-"""Spectral enclosure by Lanczos with Ritz-residual bounds (Zhou & Li, LAA 2011)
-and affine scaling, so symmetric operators meet the Chebyshev-domain contract."""
+"""Spectral enclosure by Lanczos with Ritz-residual bounds (Zhou & Li, LAA 2011).
+
+The storage operators' ``scaled(lo, hi)`` then maps the enclosure onto
+[-1, 1], the domain the Chebyshev evaluators need."""
 
 from __future__ import annotations
 
@@ -7,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DenseSymmetric, SparseSymmetric, SymmetricOperator
+from .operators import SymmetricOperator
 
-__all__ = ["SpectralInterval", "ScaledOperator", "estimate_interval", "enclosing"]
+__all__ = ["SpectralInterval", "estimate_interval", "enclosing"]
 
 
 @dataclass(frozen=True)
@@ -39,68 +41,6 @@ def enclosing(lo: float, hi: float, safety: float = 0.0, converged: bool = True,
                          f"of the identity, c*I with c = {0.5 * (lo + hi):.15g}")
     margin = 0.5 * safety * (hi - lo)
     return SpectralInterval(lo - margin, hi + margin, safety, converged, matvecs)
-
-
-class ScaledOperator(SymmetricOperator):
-    """Affine image (2A - (lo + hi) I) / (hi - lo) of an inner operator.
-
-    Maps eigenvalue lam to (2 lam - lo - hi) / (hi - lo); one apply costs
-    exactly one inner matvec. A :class:`DenseSymmetric` or
-    :class:`SparseSymmetric` inner operator is scaled once, into a stored
-    operator of its own class (``stored``; None for any other operator,
-    which is scaled on every apply), so that an apply is one stored matvec.
-    """
-
-    def __init__(self, inner: SymmetricOperator, interval: SpectralInterval):
-        self.inner = inner
-        self.interval = interval
-        self.dim = inner.dim
-        self._shift = interval.lo + interval.hi
-        self._width = interval.hi - interval.lo
-        self.stored = _stored_scaling(inner, self._shift, self._width)
-
-    def matvec(self, v):
-        if self.stored is not None:
-            return self.stored.matvec(v)
-        v = self._check_vector(v)
-        return (2.0 * self.inner.matvec(v) - self._shift * v) / self._width
-
-
-def _stored_scaling(op: SymmetricOperator, shift: float, width: float):
-    """(2 a_ij - shift delta_ij) / width, computed in that order, as an operator
-    of ``op``'s class; None when ``op`` is neither dense nor sparse storage.
-
-    A sparse row that stores no diagonal entry gains one, in column order, so
-    the copy holds at most dim more entries and is built in O(nnz).
-    ValueError when an entry is not finite."""
-    if isinstance(op, DenseSymmetric):
-        values, diagonal = op.entries.copy(), slice(None, None, op.dim + 1)
-    elif isinstance(op, SparseSymmetric):
-        indptr, indices, values = op.indptr, op.indices, op.data.copy()
-        rows = np.repeat(np.arange(op.dim), np.diff(indptr))
-        has_diagonal = np.zeros(op.dim, dtype=bool)
-        has_diagonal[rows[indices == rows]] = True
-        # offset of each row's diagonal within the row, stored or not
-        left = np.bincount(rows[indices < rows], minlength=op.dim)
-        if not has_diagonal.all():
-            missing = np.flatnonzero(~has_diagonal)
-            at = indptr[missing] + left[missing]
-            indices, values = np.insert(indices, at, missing), np.insert(values, at, 0.0)
-            indptr = indptr + np.concatenate([[0], np.cumsum(~has_diagonal)])
-        diagonal = indptr[:-1] + left
-    else:
-        return None
-    flat = values.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        flat *= 2.0
-        flat[diagonal] -= shift
-        flat /= width
-    if not np.all(np.isfinite(flat)):
-        raise ValueError(f"scaling the matrix to [-1, 1] overflows double precision: "
-                         f"(2 A - ({shift!r}) I) / {width!r} has an entry that is not finite")
-    if isinstance(op, DenseSymmetric):
-        return DenseSymmetric(values)
-    return SparseSymmetric(op.dim, indptr, indices, values)
 
 
 def estimate_interval(op: SymmetricOperator, iters: int = 500, tol: float = 1e-10,

@@ -16,13 +16,13 @@ from twosided.hutchinson import ProbeSequence, estimate_trace, exact_trace_f
 from twosided.operators import CountingOperator, DenseSymmetric, random_symmetric
 from twosided.quadform import (EVALUATORS, combine, one_sided_chebyshev,
                                two_sided_chebyshev, two_sided_standard)
-from twosided.spectrum import ScaledOperator, SpectralInterval, estimate_interval
+from twosided.spectrum import SpectralInterval, estimate_interval
 
 
 def scaled_exactly(A):
     eigs = np.linalg.eigvalsh(A.entries)
     iv = SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0)
-    return ScaledOperator(A, iv), (2 * eigs - eigs[0] - eigs[-1]) / (eigs[-1] - eigs[0])
+    return A.scaled(iv.lo, iv.hi), (2 * eigs - eigs[0] - eigs[-1]) / (eigs[-1] - eigs[0])
 
 
 def test_criterion_1_matvec_count_halving():
@@ -97,7 +97,7 @@ def test_criterion_4_per_term_agreement(desk_reproduction):
     # matrix, probes and coefficients
     cfg, iv = rep["config"], rep["spectral_interval"]
     A = random_symmetric(cfg["synthetic_dim"], cfg["seed"])
-    S = ScaledOperator(A, SpectralInterval(iv["lo"], iv["hi"]))
+    S = A.scaled(iv["lo"], iv["hi"])
     f, domain = resolve(cfg["function"]).fn, Interval(iv["lo"], iv["hi"])
     p = interpolate(lambda t: f(domain.from_canonical(t)), cfg["degree"])
     seq = ProbeSequence(cfg["seed"], A.dim)

@@ -359,6 +359,22 @@ class TestEstimateCommand:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_standard_coefficients_overflowing_is_validation_error(self, tmp_path, capsys):
+        # on [-1, 1] the Chebyshev coefficients of exp(700 x) are finite, but
+        # their standard-basis sums are not
+        mtx = tmp_path / "diag.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "2 2 2\n1 1 -1.0\n2 2 1.0\n")
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("estimate", "--matrix", str(mtx), "--function", "exp_scaled:700",
+                       "--evaluators", "one_sided_standard", "--out", str(out)) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert ("converting the Chebyshev coefficients to the standard basis overflows "
+                "double precision") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spectrum_past_half_the_largest_double_reaches_the_scaling(self, tmp_path, capsys):
         # interpolation on [-5e307, 1e308] maps the node 1 to 1e308, not inf; the
         # scaling 2 a_11 = 2e308 is what overflows

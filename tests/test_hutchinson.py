@@ -11,7 +11,6 @@ from twosided.chebyshev import CHEBYSHEV, STANDARD, PolynomialCoefficients, eval
 from twosided.hutchinson import ProbeSequence, estimate_trace, exact_trace_f
 from twosided.operators import DenseSymmetric, random_symmetric
 from twosided.quadform import EVALUATORS, combine
-from twosided.spectrum import ScaledOperator, SpectralInterval
 
 
 class TestRademacher:
@@ -118,7 +117,7 @@ class TestEstimateTrace:
     def test_moments(self):
         A = random_symmetric(30, 2)
         eigs = np.linalg.eigvalsh(A.entries)
-        S = ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+        S = A.scaled(float(eigs[0]), float(eigs[-1]))
         p = interpolate(lambda x: math.exp(2 * x), 9)
         est = estimate_trace(S, p, "two_sided_chebyshev", m=4, seed=6)
         assert est.moments.shape == (4, 10)
@@ -132,7 +131,7 @@ class TestEstimateTrace:
     def test_probe_values_are_index_order_sums(self, n, max_workers):
         A = random_symmetric(40, n)
         eigs = np.linalg.eigvalsh(A.entries)
-        S = ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+        S = A.scaled(float(eigs[0]), float(eigs[-1]))
         p = PolynomialCoefficients(CHEBYSHEV, np.random.default_rng(n).standard_normal(n + 1))
         for name in EVALUATORS:
             coeffs = p if name.endswith("chebyshev") else PolynomialCoefficients(
@@ -148,7 +147,7 @@ class TestEstimateTrace:
     def test_single_probe_cross_method(self):
         A = random_symmetric(60, 5)
         eigs = np.linalg.eigvalsh(A.entries)
-        S = ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+        S = A.scaled(float(eigs[0]), float(eigs[-1]))
         p = interpolate(lambda x: math.exp(10 * x), 20)
         one = estimate_trace(S, p, "one_sided_chebyshev", m=1, seed=3)
         two = estimate_trace(S, p, "two_sided_chebyshev", m=1, seed=3)
@@ -197,7 +196,7 @@ class TestEstimateTrace:
     def test_unbiased_over_seeds(self):
         A = random_symmetric(40, 20)
         eigs = np.linalg.eigvalsh(A.entries)
-        op = ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+        op = A.scaled(float(eigs[0]), float(eigs[-1]))
         scaled_eigs = (2 * eigs - eigs[0] - eigs[-1]) / (eigs[-1] - eigs[0])
         p = interpolate(math.exp, 8)
         exact = sum(eval_scalar(p, lam) for lam in scaled_eigs)

@@ -156,6 +156,61 @@ def test_sparse_matvec_is_the_row_order_sum(pattern):
     assert op.to_dense().entries.tobytes() == dense.tobytes()
 
 
+def argsort_symmetric(dim, indptr, indices, data):
+    """The mirrored-key argsort check the transpose comparison replaces, kept
+    as the reference."""
+    rows = np.repeat(np.arange(dim), np.diff(indptr))
+    keys, mirrored = rows * dim + indices, indices * dim + rows
+    order = np.argsort(mirrored)
+    return bool(np.array_equal(mirrored[order], keys) and np.array_equal(data[order], data))
+
+
+@st.composite
+def near_symmetric_csr(draw):
+    """CSR arrays of dimension 1..30 whose rows may be empty: a symmetric
+    pattern and values with at most one fault, a one-ulp value asymmetry, an
+    entry whose mirror is not stored, NaN data (on one side or both), or a
+    zero stored as -0.0 and mirrored by +0.0. Rows are strictly ordered."""
+    d = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((d, d))
+    M = M + M.T
+    keep = rng.random((d, d)) < draw(st.floats(0.0, 1.0))
+    stored = keep | keep.T
+    if draw(st.booleans()):
+        empty = rng.random(d) < 0.3
+        stored[empty] = stored[:, empty] = False
+    i, j = (int(k) for k in rng.integers(0, d, 2))
+    fault = draw(st.sampled_from(["none", "ulp", "one_sided", "nan", "nan_pair", "signed_zero"]))
+    if fault == "one_sided":
+        stored[i, j] = not stored[i, j]
+    elif fault != "none":
+        stored[i, j] = stored[j, i] = True
+    if fault == "ulp":
+        M[i, j] = np.nextafter(M[i, j], np.inf)
+    elif fault == "nan":
+        M[i, j] = np.nan
+    elif fault == "nan_pair":
+        M[i, j] = M[j, i] = np.nan
+    elif fault == "signed_zero":
+        M[i, j], M[j, i] = -0.0, 0.0
+    rows, cols = np.nonzero(stored)
+    return d, np.searchsorted(rows, np.arange(d + 1)), cols, M[rows, cols]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(csr=near_symmetric_csr())
+def test_sparse_symmetry_check_agrees_with_mirrored_key_argsort(csr):
+    d, indptr, indices, data = csr
+    try:
+        SparseSymmetric(d, indptr, indices, data)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "sparse pattern or values are not symmetric"
+        accepted = False
+    assert accepted == argsort_symmetric(d, indptr, indices, data)
+
+
 class TestRandomSymmetric:
     def test_dim_one(self):
         op = random_symmetric(1, 3)

@@ -14,7 +14,6 @@ from twosided.operators import CountingOperator, DenseSymmetric, random_symmetri
 from twosided.quadform import (EVALUATORS, combine, matvec_count, one_sided_chebyshev,
                                one_sided_standard, two_sided_chebyshev,
                                two_sided_standard)
-from twosided.spectrum import ScaledOperator, SpectralInterval
 
 
 def std(coeffs):
@@ -34,7 +33,7 @@ def evaluate(ev, op, z, p):
 def scaled_random(d, seed):
     A = random_symmetric(d, seed)
     eigs = np.linalg.eigvalsh(A.entries)
-    return ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+    return A.scaled(float(eigs[0]), float(eigs[-1]))
 
 
 class TestOneSidedStandard:
@@ -78,7 +77,7 @@ class TestTwoSidedStandard:
         A = random_symmetric(100, 2)
         z = ProbeSequence(0, 100).vector(0)
         eigs = np.linalg.eigvalsh(A.entries)
-        S = ScaledOperator(A, SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0))
+        S = A.scaled(float(eigs[0]), float(eigs[-1]))
         alpha = np.random.default_rng(4).standard_normal(21)
         one, one_matvecs = evaluate(one_sided_standard, S, z, std(alpha))
         two, two_matvecs = evaluate(two_sided_standard, S, z, std(alpha))
@@ -101,9 +100,11 @@ class TestOneSidedChebyshev:
         assert matvecs == 0
 
     def test_dense_recurrence_oracle(self):
-        S = scaled_random(50, 3)
-        M = (2 * S.inner.entries - (S.interval.lo + S.interval.hi) * np.eye(50)) \
-            / (S.interval.hi - S.interval.lo)
+        A = random_symmetric(50, 3)
+        eigs = np.linalg.eigvalsh(A.entries)
+        lo, hi = float(eigs[0]), float(eigs[-1])
+        S = A.scaled(lo, hi)
+        M = (2 * A.entries - (lo + hi) * np.eye(50)) / (hi - lo)
         p = interpolate(math.exp, 8)
         T0, T1 = np.eye(50), M
         P = p.coeffs[0] * T0 + p.coeffs[1] * T1
