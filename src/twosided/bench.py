@@ -1,6 +1,11 @@
 """Benchmark orchestration: matrix acquisition, spectral scaling, paired
 evaluator runs over a shared probe sequence, and structured result documents.
 
+One :class:`~twosided.spectrum.SpectralInterval` serves the whole run: f is
+interpolated on it, the operator is scaled by it, and the document records it.
+Every probe's moments must satisfy |mu_k| <= mu_0 (within
+:data:`MOMENT_TOLERANCE`), or the run stops: the interval misses the spectrum.
+
 All evaluators in one run consume identical probe vectors, so per-probe and
 per-term differences between methods reflect arithmetic only. Wall times are
 reported but are the only nondeterministic fields in a result document.
@@ -16,8 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chebyshev import (CANONICAL, CHEBYSHEV, STANDARD, Interval,
-                        PolynomialCoefficients, function_values, interpolate)
+from .chebyshev import CHEBYSHEV, STANDARD, PolynomialCoefficients, function_values, interpolate
 from .functions import resolve
 from .hutchinson import ProbeSequence, estimate_trace
 from .operators import CountingOperator, load_matrix_market, random_symmetric
@@ -25,13 +29,16 @@ from .quadform import EVALUATORS, evaluator_basis
 from .spectrum import SpectralInterval, enclosing, estimate_interval
 
 __all__ = ["BenchConfig", "ConfigError", "reproduce_config", "run_estimate",
-           "write_result", "write_probe_csv", "SCHEMA_VERSION", "INTERPOLATION_TOLERANCE"]
+           "write_result", "write_probe_csv", "SCHEMA_VERSION", "INTERPOLATION_TOLERANCE",
+           "MOMENT_TOLERANCE"]
 
 SCHEMA_VERSION = 1
 
 _SMALL_TERM_CUTOFF = 1e-8
 
 INTERPOLATION_TOLERANCE = 1e-6
+
+MOMENT_TOLERANCE = 1e-6
 
 
 class ConfigError(ValueError):
@@ -62,10 +69,12 @@ class BenchConfig:
             raise ConfigError("degree must be >= 1")
         if self.probes < 1:
             raise ConfigError("probe count must be >= 1")
-        for name in self.evaluators:
+        for i, name in enumerate(self.evaluators):
             if name not in EVALUATORS:
                 raise ConfigError(
                     f"unknown evaluator {name!r}; choose from {', '.join(sorted(EVALUATORS))}")
+            if name in self.evaluators[:i]:
+                raise ConfigError(f"evaluator {name!r} is selected more than once")
         if not self.evaluators:
             raise ConfigError("at least one evaluator must be selected")
         try:
@@ -90,8 +99,7 @@ def _user_interval(spec: str) -> SpectralInterval | None:
     """The explicit 'lo,hi' interval of ``spec``; None for 'exact' and 'power'."""
     if spec in ("exact", "power"):
         return None
-    domain = Interval.parse(spec)
-    return SpectralInterval(domain.a, domain.b, 0.0)
+    return SpectralInterval.parse(spec)
 
 
 def _resolve_interval(op, spec: str, seed: int) -> tuple[SpectralInterval, str, np.ndarray | None]:
@@ -123,6 +131,21 @@ def _standard(cheb: PolynomialCoefficients) -> PolynomialCoefficients:
                                   np.concatenate([std, np.zeros(cheb.degree + 1 - std.size)]))
 
 
+def _check_moments(interval: SpectralInterval, name: str, moments: np.ndarray):
+    """ValueError when a probe's moments prove that ``interval`` misses the
+    spectrum. If the scaled operator S has its spectrum in [-1, 1], then
+    |z^T T_k(S) z| and |z^T S^k z| are at most z^T z = mu_0 for every k (the
+    kernel polynomial method's moment bound; Weisse, Wellein, Alvermann &
+    Fehske, Rev. Mod. Phys. 78, 275, 2006). A NaN moment fails as well."""
+    bad = np.argwhere(~(np.abs(moments) <= (1.0 + MOMENT_TOLERANCE) * moments[:, :1]))
+    if bad.size:
+        i, k = (int(t) for t in bad[0])
+        raise ValueError(
+            f"interval [{interval.lo!r}, {interval.hi!r}] does not contain the spectrum: "
+            f"{name} probe {i} has |mu_{k}| = {abs(float(moments[i, k])):.6g} above "
+            f"mu_0 = z.z = {float(moments[i, 0]):.6g}, which no spectrum inside it allows")
+
+
 def _probe_checksum(seq: ProbeSequence, m: int) -> str:
     h = hashlib.sha256()
     for i in range(m):
@@ -141,9 +164,9 @@ def _max_rel_diff(a, b) -> float:
 
 def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, terms: bool):
     """Run every evaluator over the same m probes; return per-evaluator
-    records, pairwise comparisons and the probe checksum. The checksum makes
-    every probe, before and outside the evaluators' timers; the evaluators
-    then draw the stored probes."""
+    records, pairwise comparisons, the probe checksum and the estimates. The
+    checksum makes every probe, before and outside the evaluators' timers;
+    the evaluators then draw the stored probes."""
     seq = ProbeSequence(probe_seed, op.dim)
     checksum = _probe_checksum(seq, m)
     records = {}
@@ -177,7 +200,7 @@ def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, terms: bool):
                 ta, tb = (coeffs_by_name[k].coeffs * estimates[k].moments for k in (a, b))
                 comp.update(_term_comparison(ta, tb))
             comparisons[f"{a}|{b}"] = comp
-    return records, comparisons, checksum
+    return records, comparisons, checksum, estimates
 
 
 def _term_comparison(terms_a, terms_b):
@@ -210,12 +233,7 @@ def run_estimate(cfg: BenchConfig) -> dict:
         op = random_symmetric(cfg.synthetic_dim, cfg.seed)
     interval, interval_source, eigs = _resolve_interval(op, cfg.interval, cfg.seed)
     fspec = resolve(cfg.function)
-    domain = Interval(interval.lo, interval.hi)
-    try:
-        cheb = interpolate(lambda t: fspec.fn(domain.from_canonical(t)), cfg.degree, CANONICAL)
-    except ValueError as exc:
-        raise ValueError(f"{exc}; interpolation runs on [-1, 1], the image of "
-                         f"[{interval.lo!r}, {interval.hi!r}]") from None
+    cheb = interpolate(fspec.fn, cfg.degree, interval)
     coeffs_by_name = {name: cheb if evaluator_basis(name) == CHEBYSHEV else _standard(cheb)
                       for name in cfg.evaluators}
     exact_trace = polynomial_trace = interpolation_error = None
@@ -224,13 +242,15 @@ def run_estimate(cfg: BenchConfig) -> dict:
             fv = function_values(fspec.fn, eigs, "eigenvalue")
             exact_trace = float(np.sum(fv))
             polynomial_trace = float(np.sum(
-                np.polynomial.chebyshev.chebval(domain.to_canonical(eigs), cheb.coeffs)))
+                np.polynomial.chebyshev.chebval(interval.to_canonical(eigs), cheb.coeffs)))
             # sum |f(lambda_i)| does not vanish when the trace cancels; it is 0 only
             # when f is, and then the plain difference is reported
             scale, diff = float(np.sum(np.abs(fv))), abs(polynomial_trace - exact_trace)
             interpolation_error = diff / scale if scale > 0 else diff
-        records, comparisons, checksum = _paired_run(
+        records, comparisons, checksum, estimates = _paired_run(
             op.scaled(interval.lo, interval.hi), coeffs_by_name, cfg.probes, cfg.seed, cfg.terms)
+        for name, est in estimates.items():
+            _check_moments(interval, name, est.moments)
     for name, rec in records.items():
         stats = [rec["mean"], rec["sample_stddev"] or 0.0, *rec["probe_values"]]
         if not all(map(math.isfinite, stats)):
@@ -241,14 +261,7 @@ def run_estimate(cfg: BenchConfig) -> dict:
         "config": cfg.as_dict(),
         "dim": op.dim,
         "function": fspec.label,
-        "spectral_interval": {
-            "lo": interval.lo,
-            "hi": interval.hi,
-            "safety": interval.safety,
-            "converged": interval.converged,
-            "matvecs": interval.matvecs,
-            "source": interval_source,
-        },
+        "spectral_interval": {**asdict(interval), "source": interval_source},
         "exact_trace": exact_trace,
         "polynomial_trace": polynomial_trace,
         "interpolation_relative_error": interpolation_error,

@@ -1,5 +1,9 @@
 """Chebyshev polynomials of the first kind: nodes, interpolation, scalar
-evaluation, interval transforms, and coefficient file I/O."""
+evaluation, interval transforms, and coefficient file I/O.
+
+:class:`Interval` [lo, hi] carries the affine maps onto and from [-1, 1];
+:class:`twosided.spectrum.SpectralInterval` is one, so ``estimate`` interpolates
+f on the spectral interval itself."""
 
 from __future__ import annotations
 
@@ -29,35 +33,35 @@ CHEBYSHEV = "chebyshev"
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [a, b] with finite a < b."""
+    """Closed interval [lo, hi] with finite lo < hi."""
 
-    a: float
-    b: float
+    lo: float
+    hi: float
 
     def __post_init__(self):
-        if not -math.inf < self.a < self.b < math.inf:
-            raise ValueError(f"interval requires finite a < b, got [{self.a}, {self.b}]")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"interval requires finite lo < hi, got [{self.lo}, {self.hi}]")
 
     @classmethod
     def parse(cls, text: str) -> Interval:
-        """The interval written 'a,b'."""
+        """The interval written 'lo,hi'."""
         try:
-            a, b = (float(t) for t in text.split(","))
+            lo, hi = (float(t) for t in text.split(","))
         except ValueError:
             raise ValueError(f"interval must be 'a,b', got {text!r}") from None
-        return cls(a, b)
+        return cls(lo, hi)
 
     def to_canonical(self, x):
-        """Affine map of [a, b] onto [-1, 1]."""
-        return (2.0 * x - self.a - self.b) / (self.b - self.a)
+        """Affine map of [lo, hi] onto [-1, 1]."""
+        return (2.0 * x - self.lo - self.hi) / (self.hi - self.lo)
 
     def from_canonical(self, t):
-        """Inverse of :meth:`to_canonical`: 0.5 ((b - a) t + a + b), with the ends
+        """Inverse of :meth:`to_canonical`: 0.5 ((hi - lo) t + lo + hi), with the ends
         quartered first and the sum doubled last. Scaling by a power of 2 is exact
         for normal numbers, so the value is the same wherever that formula is
         finite, and for t in [-1, 1] no partial sum exceeds 3/4 of the largest
         double."""
-        return 2.0 * ((0.25 * self.b - 0.25 * self.a) * t + 0.25 * self.a + 0.25 * self.b)
+        return 2.0 * ((0.25 * self.hi - 0.25 * self.lo) * t + 0.25 * self.lo + 0.25 * self.hi)
 
 
 CANONICAL = Interval(-1.0, 1.0)
@@ -159,7 +163,7 @@ def save_coefficients(p: PolynomialCoefficients, path):
     """Write coefficients to a JSON file (round-trip exact for doubles)."""
     doc = {
         "basis": p.basis,
-        "interval": [p.interval.a, p.interval.b],
+        "interval": [p.interval.lo, p.interval.hi],
         "coefficients": [float(a) for a in p.coeffs],
     }
     with open(path, "w") as fh:
@@ -170,5 +174,5 @@ def save_coefficients(p: PolynomialCoefficients, path):
 def load_coefficients(path) -> PolynomialCoefficients:
     with open(path) as fh:
         doc = json.load(fh)
-    a, b = doc["interval"]
-    return PolynomialCoefficients(doc["basis"], doc["coefficients"], Interval(a, b))
+    lo, hi = doc["interval"]
+    return PolynomialCoefficients(doc["basis"], doc["coefficients"], Interval(lo, hi))

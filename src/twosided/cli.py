@@ -45,7 +45,7 @@ def cmd_interpolate(func_spec, degree, interval, out):
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     p = interpolate(fspec.fn, degree, domain)
-    grid = np.linspace(domain.a, domain.b, 1000)
+    grid = np.linspace(domain.lo, domain.hi, 1000)
     fv = function_values(fspec.fn, grid, "grid point")
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.max(np.abs(np.array([eval_scalar(p, x) for x in grid]) - fv))

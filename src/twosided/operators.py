@@ -11,6 +11,7 @@ evaluators run on.
 from __future__ import annotations
 
 import math
+import re
 import threading
 import warnings
 
@@ -228,6 +229,11 @@ class MatrixMarketError(ValueError):
 
 _SYMMETRY_RTOL = 1e-12
 
+# str.splitlines breaks lines at these as well as at \n and \r (found by their
+# UTF-8 bytes)
+_SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(rb"\r\n?|\n")
+
 
 def load_matrix_market(path):
     """Read a real Matrix Market file into an operator.
@@ -245,8 +251,13 @@ def load_matrix_market(path):
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    # str.splitlines also breaks lines at these bytes; np.loadtxt reads them as spaces
-    regular = raw.isascii() and not any(c in raw for c in b"\x0b\x0c\x1c\x1d\x1e")
+    # both readers must split the header alike, so it may hold any character but
+    # these line breaks; the data section must be ASCII without them, since
+    # np.loadtxt reads the first five as spaces
+    start = _data_start(raw)
+    regular = (not any(c.encode() in raw[:start] for c in _SPLITLINES_BREAKS)
+               and (raw.isascii() or raw[start:].isascii())
+               and not any(c.encode() in raw for c in _SPLITLINES_BREAKS[:5]))
     del raw
     if regular:
         with open(path) as fh:
@@ -255,6 +266,19 @@ def load_matrix_market(path):
         if triplets is not None:
             return _assemble_coordinate(d, *triplets, symmetry)
     return _load_by_line(path)
+
+
+def _data_start(raw: bytes) -> int:
+    """Byte offset of the line after the size line, the first line after
+    line 1 that is neither blank nor a % comment; len(raw) without one. Lines
+    that bytes.strip leaves non-blank but str.strip does not only move the
+    offset earlier."""
+    pos = 0
+    for n, end in enumerate(_LINE_BREAK.finditer(raw)):
+        line, pos = raw[pos:end.start()].strip(), end.end()
+        if n and line and not line.startswith(b"%"):
+            return pos
+    return len(raw)
 
 
 def _read_header(lines):

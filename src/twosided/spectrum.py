@@ -1,7 +1,9 @@
 """Spectral enclosure by Lanczos with Ritz-residual bounds (Zhou & Li, LAA 2011).
 
-The storage operators' ``scaled(lo, hi)`` then maps the enclosure onto
-[-1, 1], the domain the Chebyshev evaluators need."""
+A :class:`SpectralInterval` is a :class:`twosided.chebyshev.Interval` that also
+carries the Lanczos run's safety margin, convergence and cost. The same object
+maps f's interpolation nodes, and the storage operators' ``scaled(lo, hi)``
+maps the operator onto [-1, 1], the domain the Chebyshev evaluators need."""
 
 from __future__ import annotations
 
@@ -9,27 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chebyshev import Interval
 from .operators import SymmetricOperator
 
 __all__ = ["SpectralInterval", "estimate_interval", "enclosing"]
 
 
 @dataclass(frozen=True)
-class SpectralInterval:
-    """Enclosure [lo, hi] of the spectrum. ``safety`` is the relative outward
-    margin already applied to the ends; ``converged`` is False when Lanczos hit
-    its step cap with loose residual bounds (the interval then rests on the
-    margin); ``matvecs`` is its cost."""
+class SpectralInterval(Interval):
+    """Enclosure [lo, hi] of the spectrum, the interval f is interpolated on.
+    ``safety`` is the relative outward margin already applied to the ends;
+    ``converged`` is False when Lanczos hit its step cap with loose residual
+    bounds (the interval then rests on the margin); ``matvecs`` is its cost."""
 
-    lo: float
-    hi: float
     safety: float = 0.0
     converged: bool = True
     matvecs: int = 0
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"spectral interval requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
 def enclosing(lo: float, hi: float, safety: float = 0.0, converged: bool = True,

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from twosided.bench import _SMALL_TERM_CUTOFF, _max_rel_diff, _term_comparison
+from twosided.bench import (MOMENT_TOLERANCE, _SMALL_TERM_CUTOFF, _check_moments, _max_rel_diff,
+                            _term_comparison)
+from twosided.spectrum import SpectralInterval
 
 
 def rel_diff(a, b):
@@ -71,3 +74,16 @@ def test_array_comparisons_equal_the_loops(pair):
     got = _term_comparison(terms_a, terms_b)
     want = loop_term_comparison(terms_a, terms_b)
     assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+
+def test_moments_above_mu_0_disprove_the_interval():
+    interval = SpectralInterval(-1.0, 1.0)
+    edge = 4.0 * (1.0 + 0.5 * MOMENT_TOLERANCE)
+    moments = np.array([[4.0, edge, -edge], [4.0, 0.0, 1.0]])
+    _check_moments(interval, "ev", moments)
+    for k, value in [(1, 4.0 * (1.0 + 2.0 * MOMENT_TOLERANCE)), (2, -5.0), (1, np.nan)]:
+        bad = moments.copy()
+        bad[1, k] = value
+        with pytest.raises(ValueError, match=rf"^interval \[-1.0, 1.0\] does not contain the "
+                                             rf"spectrum: ev probe 1 has \|mu_{k}\|"):
+            _check_moments(interval, "ev", bad)

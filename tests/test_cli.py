@@ -90,7 +90,7 @@ class TestInterpolateCommand:
     (("interpolate", "--function", "power:-1", "--interval=-1,2", "--degree", "4"),
      "grid point x=0.0 (grid point index 333)"),
     (("estimate", "--synthetic", "10", "--function", "exp_scaled:10", "--interval=-100,100"),
-     "node x=1.0 (node index 0); interpolation runs on [-1, 1], the image of [-100.0, 100.0]"),
+     "node x=100.0 (node index 0)"),
 ])
 def test_non_finite_function_value_is_validation_error(tmp_path, capsys, args, where):
     out = tmp_path / "out.json"
@@ -151,6 +151,7 @@ class TestEstimateCommand:
         ("--interval", "wide"),
         ("--interval", "1,-1"),
         ("--interval=-inf,inf",),
+        ("--evaluators", "two_sided_chebyshev,two_sided_chebyshev"),
     ])
     def test_invalid_configuration_is_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "r.json"
@@ -228,6 +229,19 @@ class TestEstimateCommand:
         assert run("estimate", "--synthetic", "100", "--interval=-1,1",
                    "--out", str(out)) == 2
         assert "diagonal entry (3,3) = -1.605" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_interval_the_moments_disprove_is_validation_error(self, tmp_path, capsys):
+        # [-4, 3] holds the diagonal [-3.77, 2.58] but not the spectrum [-13.8, 13.7]:
+        # probe 0 has mu_2 = 556.9 where z.z = 100 bounds every moment
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("estimate", "--synthetic", "100", "--function", "exp_scaled:0.1",
+                       "--interval=-4,3", "--probes", "10", "--out", str(out)) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert ("interval [-4.0, 3.0] does not contain the spectrum: one_sided_chebyshev "
+                "probe 0 has |mu_2| = 556.877 above mu_0 = z.z = 100") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("function", ["poly:0,1e306", "poly:1e306"])

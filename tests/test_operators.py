@@ -573,6 +573,31 @@ def test_bulk_parse_agrees_with_line_by_line(tmp_path, monkeypatch, line, newlin
         assert np.frombuffer(outcome[3]).tolist() == [2.0, result, result, 2.0]
 
 
+@pytest.mark.parametrize("comment, parsed_in_bulk, result", [
+    ("% author: Ren\u00e9e M\u00fcller", True, 0.5),
+    ("% Ren\u00e9e\u2028% M\u00fcller", False, 0.5),  # str.splitlines breaks at U+2028
+    ("% Ren\u00e9e\u2028M\u00fcller", False,
+     "line 3: non-integer token in size line: 'M\u00fcller'"),
+], ids=["non-ascii-comment", "u2028-between-comments", "u2028-before-text"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_header_comment_outside_ascii(tmp_path, monkeypatch, comment, parsed_in_bulk, result,
+                                      newline):
+    header, rest = _SYMMETRIC_3X3.format("2 1 0.5").split("\n", 1)
+    path = tmp_path / "h.mtx"
+    path.write_text(f"{header}\n{comment}\n{rest}".replace("\n", newline), encoding="utf-8",
+                    newline="")
+    by_line = operators._load_by_line
+    fallbacks = []
+    monkeypatch.setattr(operators, "_load_by_line", lambda p: fallbacks.append(p) or by_line(p))
+    outcome = _outcome(load_matrix_market, path)
+    assert outcome == _outcome(by_line, path)
+    assert (not fallbacks) == parsed_in_bulk
+    if isinstance(result, str):
+        assert outcome == result
+    else:
+        assert np.frombuffer(outcome[3]).tolist() == [2.0, result, result, 2.0]
+
+
 def test_coordinate_memory_per_stored_entry(tmp_path):
     import scipy.sparse  # noqa: F401  (SparseSymmetric imports it; not part of the load)
     d = 6000

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twosided.chebyshev import interpolate
+from twosided.chebyshev import Interval, interpolate
 from twosided.hutchinson import estimate_trace, exact_trace_f
 from twosided.operators import (CountingOperator, DenseSymmetric, SparseSymmetric,
                                 SymmetricOperator, random_symmetric)
@@ -185,6 +185,19 @@ class TestScaleOperator:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             SpectralInterval(1.0, 1.0)
+
+
+def test_spectral_interval_is_an_interval():
+    iv = SpectralInterval.parse("-2,3")
+    assert isinstance(iv, Interval)
+    assert (iv.lo, iv.hi, iv.safety, iv.converged, iv.matvecs) == (-2.0, 3.0, 0.0, True, 0)
+    assert (iv.from_canonical(-1.0), iv.to_canonical(3.0)) == (-2.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+def test_spectral_interval_requires_finite_ends(lo, hi):
+    with pytest.raises(ValueError, match="interval requires finite lo < hi"):
+        SpectralInterval(lo, hi)
 
 
 @st.composite
