@@ -4,7 +4,8 @@ evaluator runs over a shared probe sequence, and structured result documents.
 One :class:`~twosided.spectrum.SpectralInterval` serves the whole run: f is
 interpolated on it, the operator is scaled by it, and the document records it.
 Every probe's moments must satisfy |mu_k| <= mu_0 (within
-:data:`MOMENT_TOLERANCE`), or the run stops: the interval misses the spectrum.
+:data:`MOMENT_TOLERANCE`), or the run stops at the first evaluator that breaks
+the bound: the interval misses the spectrum.
 
 All evaluators in one run consume identical probe vectors, so per-probe and
 per-term differences between methods reflect arithmetic only. Wall times are
@@ -65,6 +66,8 @@ class BenchConfig:
             raise ConfigError("give exactly one of a matrix file or a synthetic dimension")
         if self.synthetic_dim is not None and self.synthetic_dim < 1:
             raise ConfigError("synthetic dimension must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
         if self.probes < 1:
@@ -162,11 +165,13 @@ def _max_rel_diff(a, b) -> float:
     return float(rel.max())
 
 
-def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, terms: bool):
-    """Run every evaluator over the same m probes; return per-evaluator
-    records, pairwise comparisons, the probe checksum and the estimates. The
-    checksum makes every probe, before and outside the evaluators' timers;
-    the evaluators then draw the stored probes."""
+def _paired_run(op, interval, coeffs_by_name, m: int, probe_seed: int, terms: bool):
+    """Run every evaluator over the same m probes of ``op`` scaled by ``interval``;
+    return per-evaluator records, pairwise comparisons and the probe checksum.
+    The checksum makes every probe, before and outside the evaluators' timers;
+    the evaluators then draw the stored probes. An evaluator's moments, then its
+    statistics, are checked when it returns, outside its timer."""
+    op = op.scaled(interval.lo, interval.hi)
     seq = ProbeSequence(probe_seed, op.dim)
     checksum = _probe_checksum(seq, m)
     records = {}
@@ -176,6 +181,10 @@ def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, terms: bool):
         t0 = time.perf_counter()
         est = estimate_trace(counter, coeffs, name, m, seq)
         elapsed = time.perf_counter() - t0
+        _check_moments(interval, name, est.moments)
+        if not all(map(math.isfinite, [est.mean, est.sample_stddev or 0.0, *est.probe_values])):
+            raise ValueError(f"{name} overflows double precision on this matrix (mean="
+                             f"{est.mean!r}, sample_stddev={est.sample_stddev!r})")
         records[name] = {
             "mean": est.mean,
             "sample_stddev": est.sample_stddev,
@@ -200,7 +209,7 @@ def _paired_run(op, coeffs_by_name, m: int, probe_seed: int, terms: bool):
                 ta, tb = (coeffs_by_name[k].coeffs * estimates[k].moments for k in (a, b))
                 comp.update(_term_comparison(ta, tb))
             comparisons[f"{a}|{b}"] = comp
-    return records, comparisons, checksum, estimates
+    return records, comparisons, checksum
 
 
 def _term_comparison(terms_a, terms_b):
@@ -247,15 +256,8 @@ def run_estimate(cfg: BenchConfig) -> dict:
             # when f is, and then the plain difference is reported
             scale, diff = float(np.sum(np.abs(fv))), abs(polynomial_trace - exact_trace)
             interpolation_error = diff / scale if scale > 0 else diff
-        records, comparisons, checksum, estimates = _paired_run(
-            op.scaled(interval.lo, interval.hi), coeffs_by_name, cfg.probes, cfg.seed, cfg.terms)
-        for name, est in estimates.items():
-            _check_moments(interval, name, est.moments)
-    for name, rec in records.items():
-        stats = [rec["mean"], rec["sample_stddev"] or 0.0, *rec["probe_values"]]
-        if not all(map(math.isfinite, stats)):
-            raise ValueError(f"{name} overflows double precision on this matrix (mean="
-                             f"{rec['mean']!r}, sample_stddev={rec['sample_stddev']!r})")
+        records, comparisons, checksum = _paired_run(
+            op, interval, coeffs_by_name, cfg.probes, cfg.seed, cfg.terms)
     return {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.as_dict(),

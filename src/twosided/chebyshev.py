@@ -1,5 +1,6 @@
 """Chebyshev polynomials of the first kind: nodes, interpolation, scalar
-evaluation, interval transforms, and coefficient file I/O.
+evaluation by numpy's ``polyval``/``chebval`` (the package's one series
+evaluator), interval transforms, and coefficient file I/O.
 
 :class:`Interval` [lo, hi] carries the affine maps onto and from [-1, 1];
 :class:`twosided.spectrum.SpectralInterval` is one, so ``estimate`` interpolates
@@ -140,23 +141,15 @@ def function_values(f, x, where: str = "node") -> np.ndarray:
 
 
 def eval_scalar(p: PolynomialCoefficients, x: float) -> float:
-    """Evaluate p at x: Clenshaw recurrence for the Chebyshev basis, Horner
-    for the standard basis.
+    """Evaluate p at x: numpy's ``polyval`` (Horner) for the standard basis,
+    ``chebval`` (Clenshaw) at the canonical point for the Chebyshev basis.
 
     Chebyshev evaluation outside ``p.interval`` is permitted but amounts to
     extrapolation.
     """
-    c = p.coeffs
     if p.basis == STANDARD:
-        r = 0.0
-        for a in c[::-1]:
-            r = r * x + a
-        return float(r)
-    t = p.interval.to_canonical(x)
-    b1 = b2 = 0.0
-    for a in c[:0:-1]:
-        b1, b2 = 2.0 * t * b1 - b2 + a, b1
-    return float(t * b1 - b2 + c[0])
+        return float(np.polynomial.polynomial.polyval(x, p.coeffs))
+    return float(np.polynomial.chebyshev.chebval(p.interval.to_canonical(x), p.coeffs))
 
 
 def save_coefficients(p: PolynomialCoefficients, path):

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 numerical or validation error.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
@@ -19,7 +18,7 @@ import numpy as np
 
 from .bench import INTERPOLATION_TOLERANCE, BenchConfig, ConfigError, reproduce_config, \
     run_estimate, write_probe_csv, write_result
-from .chebyshev import Interval, eval_scalar, function_values, interpolate, save_coefficients
+from .chebyshev import Interval, function_values, interpolate, save_coefficients
 from .functions import resolve
 from .quadform import EVALUATORS, matvec_count
 
@@ -48,7 +47,8 @@ def cmd_interpolate(func_spec, degree, interval, out):
     grid = np.linspace(domain.lo, domain.hi, 1000)
     fv = function_values(fspec.fn, grid, "grid point")
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.max(np.abs(np.array([eval_scalar(p, x) for x in grid]) - fv))
+        residual = np.max(np.abs(
+            np.polynomial.chebyshev.chebval(domain.to_canonical(grid), p.coeffs) - fv))
     if not np.isfinite(residual):
         raise ValueError(f"evaluating the degree-{degree} interpolant on the 1000-point grid "
                          "overflows double precision")
@@ -159,8 +159,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         click.echo(f"usage error: {exc}", err=True)
         return 1
-    except (ValueError, OSError, np.linalg.LinAlgError, MemoryError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     return 0

@@ -119,6 +119,22 @@ class TestEvalScalar:
     def test_constant_polynomial(self):
         assert eval_scalar(PolynomialCoefficients(CHEBYSHEV, [4.0]), 0.7) == 4.0
 
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(c=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                      max_size=30),
+           x=st.floats(allow_nan=False, allow_infinity=False))
+    @example(c=[-0.0], x=-2.0)
+    @example(c=[1e308, 1e308], x=10.0)
+    def test_standard_basis_is_the_horner_loop_bit_for_bit(self, c, x):
+        # reference Horner loop: poly: documents stay byte-identical only while
+        # polyval matches it to the last bit, signed zeros and overflow included
+        p = PolynomialCoefficients(STANDARD, c)
+        with np.errstate(all="ignore"):
+            r = 0.0
+            for a in p.coeffs[::-1]:
+                r = r * x + a
+            assert repr(eval_scalar(p, x)) == repr(float(r))
+
 
 class TestAffineMap:
     def test_identity_interval(self):

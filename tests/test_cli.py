@@ -16,6 +16,7 @@ from twosided import bench
 from twosided.bench import reproduce_config
 from twosided.chebyshev import load_coefficients
 from twosided.cli import main
+from twosided.functions import resolve
 from twosided.operators import random_symmetric
 
 
@@ -80,6 +81,20 @@ class TestInterpolateCommand:
                    f"--interval={interval}", "--out", str(out)) == 1
         assert "usage error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("func_spec, interval", [("exp_scaled:10", "-1,1"),
+                                                     ("log_shifted", "-0.5,3")])
+    def test_printed_residual_is_the_grid_maximum(self, tmp_path, capsys, func_spec, interval):
+        out = tmp_path / "c.json"
+        assert run("interpolate", "--function", func_spec, "--degree", "12",
+                   f"--interval={interval}", "--out", str(out)) == 0
+        p = load_coefficients(out)
+        f = resolve(func_spec).fn
+        grid = np.linspace(p.interval.lo, p.interval.hi, 1000)
+        residual = np.max(np.abs(np.polynomial.chebyshev.chebval(
+            p.interval.to_canonical(grid), p.coeffs) - np.array([f(x) for x in grid])))
+        assert (f"max interpolation residual on 1000-point grid: {residual:.6e}"
+                in capsys.readouterr().out.splitlines())
 
 
 @pytest.mark.parametrize("args, where", [
@@ -152,11 +167,23 @@ class TestEstimateCommand:
         ("--interval", "1,-1"),
         ("--interval=-inf,inf",),
         ("--evaluators", "two_sided_chebyshev,two_sided_chebyshev"),
+        ("--seed", "-1"),
     ])
     def test_invalid_configuration_is_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "r.json"
         assert run("estimate", "--synthetic", "10", *args, "--out", str(out)) == 1
         assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("interval", ["exact", "power"])
+    def test_negative_seed_with_a_matrix_file_is_usage_error(self, tmp_path, capsys, interval):
+        mtx = tmp_path / "diag.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "3 3 2\n1 1 -1.0\n3 3 1.0\n")
+        out = tmp_path / "r.json"
+        assert run("estimate", "--matrix", str(mtx), "--seed", "-1", "--interval", interval,
+                   "--out", str(out)) == 1
+        assert "usage error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_configuration_is_validated_once(self, tmp_path, monkeypatch):
@@ -242,6 +269,23 @@ class TestEstimateCommand:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert ("interval [-4.0, 3.0] does not contain the spectrum: one_sided_chebyshev "
                 "probe 0 has |mu_2| = 556.877 above mu_0 = z.z = 100") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_stops_at_the_first_evaluator_the_moments_disprove(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        calls = []
+        estimate_trace = bench.estimate_trace
+        monkeypatch.setattr(bench, "estimate_trace",
+                            lambda *args: calls.append(args[2]) or estimate_trace(*args))
+        out = tmp_path / "r.json"
+        assert run("estimate", "--synthetic", "300", "--function", "exp_scaled:0.1",
+                   "--interval=-14,13", "--probes", "100", "--evaluators",
+                   "one_sided_standard,two_sided_standard,one_sided_chebyshev,"
+                   "two_sided_chebyshev", "--out", str(out)) == 2
+        assert calls == ["one_sided_standard"]
+        assert ("interval [-14.0, 13.0] does not contain the spectrum: one_sided_standard "
+                "probe 0 has |mu_4| = 389.537 above mu_0 = z.z = 300, which no spectrum "
+                "inside it allows") in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("function", ["poly:0,1e306", "poly:1e306"])
