@@ -26,10 +26,10 @@ from .chebyshev import CHEBYSHEV, STANDARD, PolynomialCoefficients, function_val
 from .functions import resolve
 from .hutchinson import ProbeSequence, estimate_trace
 from .operators import CountingOperator, load_matrix_market, random_symmetric
-from .quadform import EVALUATORS, evaluator_basis
+from .quadform import evaluator_basis, lookup
 from .spectrum import SpectralInterval, enclosing, estimate_interval
 
-__all__ = ["BenchConfig", "ConfigError", "reproduce_config", "run_estimate",
+__all__ = ["BenchConfig", "ConfigError", "reproduce_config", "run_estimate", "result_warnings",
            "write_result", "write_probe_csv", "SCHEMA_VERSION", "INTERPOLATION_TOLERANCE",
            "MOMENT_TOLERANCE"]
 
@@ -72,15 +72,13 @@ class BenchConfig:
             raise ConfigError("degree must be >= 1")
         if self.probes < 1:
             raise ConfigError("probe count must be >= 1")
-        for i, name in enumerate(self.evaluators):
-            if name not in EVALUATORS:
-                raise ConfigError(
-                    f"unknown evaluator {name!r}; choose from {', '.join(sorted(EVALUATORS))}")
-            if name in self.evaluators[:i]:
-                raise ConfigError(f"evaluator {name!r} is selected more than once")
-        if not self.evaluators:
-            raise ConfigError("at least one evaluator must be selected")
         try:
+            for i, name in enumerate(self.evaluators):
+                lookup(name)
+                if name in self.evaluators[:i]:
+                    raise ValueError(f"evaluator {name!r} is selected more than once")
+            if not self.evaluators:
+                raise ValueError("at least one evaluator must be selected")
             resolve(self.function)
             _user_interval(self.interval)
         except ValueError as exc:
@@ -271,6 +269,18 @@ def run_estimate(cfg: BenchConfig) -> dict:
         "evaluators": records,
         "comparisons": comparisons,
     }
+
+
+def result_warnings(doc: dict):
+    """Yield the stderr warning lines of a result document outside its contract."""
+    if not doc["spectral_interval"]["converged"]:
+        yield ("warning: the Lanczos spectral interval did not converge; it rests on its 1% "
+               "safety margin and may not contain the spectrum")
+    error = doc["interpolation_relative_error"]
+    if error is not None and error > INTERPOLATION_TOLERANCE:
+        yield (f"warning: the degree-{doc['config']['degree']} interpolant misses tr f(A) by "
+               f"{error:.3g} of sum |f(lambda)| (tolerance {INTERPOLATION_TOLERANCE:g}); the "
+               "estimates are of the polynomial trace, raise --degree")
 
 
 def write_result(doc: dict, path):

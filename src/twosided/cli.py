@@ -16,11 +16,11 @@ import sys
 import click
 import numpy as np
 
-from .bench import INTERPOLATION_TOLERANCE, BenchConfig, ConfigError, reproduce_config, \
-    run_estimate, write_probe_csv, write_result
+from .bench import BenchConfig, ConfigError, reproduce_config, result_warnings, run_estimate, \
+    write_probe_csv, write_result
 from .chebyshev import Interval, function_values, interpolate, save_coefficients
 from .functions import resolve
-from .quadform import EVALUATORS, matvec_count
+from .quadform import EVALUATORS, lookup, matvec_count
 
 
 @click.group()
@@ -83,14 +83,8 @@ def cmd_estimate(matrix_path, synthetic_dim, seed, func_spec, degree, probes,
                       seed=seed, function=func_spec, degree=degree, probes=probes,
                       evaluators=names, interval=interval, terms=terms)
     doc = run_estimate(cfg)
-    if not doc["spectral_interval"]["converged"]:
-        click.echo("warning: the Lanczos spectral interval did not converge; it "
-                   "rests on its 1% safety margin and may not contain the spectrum", err=True)
-    error = doc["interpolation_relative_error"]
-    if error is not None and error > INTERPOLATION_TOLERANCE:
-        click.echo(f"warning: the degree-{degree} interpolant misses tr f(A) by {error:.3g} "
-                   f"of sum |f(lambda)| (tolerance {INTERPOLATION_TOLERANCE:g}); the estimates "
-                   "are of the polynomial trace, raise --degree", err=True)
+    for line in result_warnings(doc):
+        click.echo(line, err=True)
     if fmt in ("json", "both"):
         write_result(doc, out)
         click.echo(f"wrote result to {out}")
@@ -116,6 +110,8 @@ def cmd_reproduce(full, dim, trials, degree, out):
     if d < 50:
         raise click.UsageError("desk-scale dimension must be >= 50")
     doc = run_estimate(reproduce_config(d, trials, degree))
+    for line in result_warnings(doc):
+        click.echo(line, err=True)
     click.echo(f"dimension {d}, degree {degree}, {trials} trials, f = {doc['function']}")
     click.echo(f"exact trace f(A):        {doc['exact_trace']:.6e}")
     click.echo(f"polynomial trace p(A):   {doc['polynomial_trace']:.6e}")
@@ -139,25 +135,23 @@ def cmd_matvec_count(degree, evaluator):
         raise click.UsageError("degree must be >= 0")
     names = [evaluator.replace("-", "_")] if evaluator else sorted(EVALUATORS)
     for name in names:
-        if name not in EVALUATORS:
-            raise click.UsageError(
-                f"unknown evaluator {name!r}; choose from {', '.join(sorted(EVALUATORS))}")
+        try:
+            lookup(name)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from None
         click.echo(f"{name}: {matvec_count(name, degree)}")
 
 
 def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+    except (click.UsageError, ConfigError) as exc:
+        click.echo(f"usage error: {exc}", err=True)
         return 1
     except click.ClickException as exc:
         exc.show()
         return 2
     except click.Abort:
-        return 1
-    except ConfigError as exc:
-        click.echo(f"usage error: {exc}", err=True)
         return 1
     except (ValueError, OSError, MemoryError) as exc:
         click.echo(f"error: {exc}", err=True)

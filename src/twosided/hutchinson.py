@@ -11,7 +11,7 @@ import numpy as np
 
 from .chebyshev import PolynomialCoefficients
 from .operators import DenseSymmetric, SymmetricOperator
-from .quadform import EVALUATORS, combine, evaluator_basis, matvec_count
+from .quadform import combine, evaluator_basis, lookup, matvec_count
 
 __all__ = [
     "ProbeSequence",
@@ -82,7 +82,7 @@ def estimate_trace(op: SymmetricOperator, coeffs: PolynomialCoefficients,
     """
     if m < 1:
         raise ValueError(f"number of probes must be >= 1, got m={m}")
-    ev, basis = EVALUATORS[evaluator], evaluator_basis(evaluator)
+    ev, basis = lookup(evaluator), evaluator_basis(evaluator)
     if coeffs.basis != basis:
         raise ValueError(
             f"{evaluator} requires {basis}-basis coefficients, got {coeffs.basis}")

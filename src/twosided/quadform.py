@@ -38,6 +38,7 @@ __all__ = [
     "one_sided_chebyshev",
     "two_sided_chebyshev",
     "EVALUATORS",
+    "lookup",
     "combine",
     "evaluator_basis",
     "matvec_count",
@@ -100,6 +101,14 @@ EVALUATORS = {
     "one_sided_chebyshev": one_sided_chebyshev,
     "two_sided_chebyshev": two_sided_chebyshev,
 }
+
+
+def lookup(name: str):
+    """The evaluator called ``name``; ValueError naming the choices if there is none."""
+    if name not in EVALUATORS:
+        raise ValueError(
+            f"unknown evaluator {name!r}; choose from {', '.join(sorted(EVALUATORS))}")
+    return EVALUATORS[name]
 
 
 def combine(coeffs: PolynomialCoefficients, moments):

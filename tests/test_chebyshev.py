@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from twosided.chebyshev import (CHEBYSHEV, STANDARD, Interval,
                                 PolynomialCoefficients,
-                                chebyshev_nodes, eval_scalar, interpolate,
-                                load_coefficients, save_coefficients)
+                                chebyshev_nodes, eval_scalar, function_values,
+                                interpolate, load_coefficients, save_coefficients)
+from twosided.functions import resolve
 
 MAX = float(np.finfo(float).max)
 
@@ -99,6 +101,41 @@ class TestInterpolate:
         for t in chebyshev_nodes(12):
             x = iv.from_canonical(t)
             assert abs(eval_scalar(p, x) - f(x)) <= 1e-12 * max(1.0, abs(f(x)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 200, 2000])
+    def test_matches_the_exactly_reduced_cosine_sum(self, n):
+        # reference: alpha_k = (2/n) sum_j'' f_j cos(pi j k / n), the first and last
+        # summands and coefficients halved; j k is reduced mod 2n in integers, so
+        # every cosine argument lies in [0, 2 pi)
+        j = np.arange(n + 1)
+        C = np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n)
+        w = np.ones(n + 1)
+        w[0] = w[-1] = 0.5
+        for spec in ("identity", "exp_scaled:10", "power:3", "inverse_shifted",
+                     "log_shifted", "poly:1,0.5,-0.25,0.125"):
+            f = resolve(spec).fn
+            for iv in (Interval(-1.0, 1.0), Interval(0.5, 3.0)):
+                ref = (2.0 / n) * (C @ (w * function_values(f, iv.from_canonical(
+                    chebyshev_nodes(n)))))
+                ref[0] *= 0.5
+                ref[-1] *= 0.5
+                err = np.max(np.abs(interpolate(f, n, iv).coeffs - ref))
+                assert err <= 1e-14 * np.max(np.abs(ref)), (spec, iv, err)
+
+    def test_values_near_the_largest_double_interpolate_finitely(self):
+        p = interpolate(lambda x: x, 2, Interval(-1e308, 1e308))
+        assert np.all(np.isfinite(p.coeffs))
+        assert p.coeffs[1] == pytest.approx(1e308, rel=1e-15)
+
+    def test_builds_no_square_array(self):
+        # an (n+1) x (n+1) array of doubles at n = 3000 is 72 MB
+        tracemalloc.start()
+        try:
+            interpolate(math.exp, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestEvalScalar:

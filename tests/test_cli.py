@@ -537,6 +537,15 @@ class TestReproduceCommand:
     def test_too_small_dim_is_usage_error(self):
         assert run("reproduce", "--dim", "10") == 1
 
+    def test_inaccurate_interpolant_warns_as_estimate_does(self, capsys):
+        # at d = 200 the degree-8 interpolant misses tr f(A) by about 1e-3
+        assert run("reproduce", "--dim", "200", "--trials", "10", "--degree", "8") == 0
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning:")]
+        assert len(warned) == 1 and "degree-8 interpolant" in warned[0]
+        assert run("reproduce", "--dim", "60", "--trials", "10") == 0
+        assert "warning:" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("args", [("--trials", "0"), ("--degree", "0")])
     def test_invalid_configuration_is_usage_error(self, args):
         assert run("reproduce", *args) == 1

@@ -193,6 +193,13 @@ class TestEstimateTrace:
         with pytest.raises(ValueError):
             estimate_trace(op, p, "two_sided_chebyshev", m=0, seed=0)
 
+    def test_unknown_evaluator_names_the_choices(self):
+        op = random_symmetric(5, 0)
+        p = PolynomialCoefficients(CHEBYSHEV, [1.0, 0.5, 0.25])
+        with pytest.raises(ValueError, match="unknown evaluator 'bogus'; choose from "
+                                             "one_sided_chebyshev, one_sided_standard"):
+            estimate_trace(op, p, "bogus", 2, 0)
+
     def test_unbiased_over_seeds(self):
         A = random_symmetric(40, 20)
         eigs = np.linalg.eigvalsh(A.entries)
