@@ -68,6 +68,8 @@ class BenchConfig:
             raise ConfigError("synthetic dimension must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 2**64:
+            raise ConfigError(f"seed must be < 2**64, got {self.seed}")
         if self.degree < 1:
             raise ConfigError("degree must be >= 1")
         if self.probes < 1:
@@ -109,7 +111,7 @@ def _resolve_interval(op, spec: str, seed: int) -> tuple[SpectralInterval, str, 
         eigs = np.linalg.eigvalsh(op.to_dense().entries)
         return enclosing(float(eigs[0]), float(eigs[-1])), "exact", eigs
     if spec == "power":
-        return estimate_interval(op, iters=1000, tol=1e-8, seed=seed), "power", None
+        return estimate_interval(op, seed=seed), "power", None
     interval = _user_interval(spec)
     # a_ii = e_i^T A e_i is a Rayleigh quotient, so it lies in [lambda_min, lambda_max]
     diag = op.diagonal()
@@ -285,7 +287,7 @@ def result_warnings(doc: dict):
 
 def write_result(doc: dict, path):
     text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
@@ -293,7 +295,7 @@ def write_probe_csv(doc: dict, path):
     """Per-probe value table: one row per probe, one column per evaluator."""
     names = sorted(doc["evaluators"])
     columns = [doc["evaluators"][n]["probe_values"] for n in names]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(["probe"] + names) + "\n")
         for i, row in enumerate(zip(*columns)):
             fh.write(",".join([str(i)] + [repr(v) for v in row]) + "\n")

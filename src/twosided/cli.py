@@ -63,7 +63,7 @@ def cmd_interpolate(func_spec, degree, interval, out):
 @click.option("--synthetic", "synthetic_dim", type=int, default=None,
               help="Generate a seeded random symmetric matrix of this dimension.")
 @click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for matrix synthesis and probe generation.")
+              help="Seed for matrix synthesis and probe generation, below 2**64.")
 @click.option("--function", "func_spec", default="exp_scaled:10", show_default=True)
 @click.option("--degree", "-n", type=int, default=20, show_default=True)
 @click.option("--probes", "-m", type=int, default=100, show_default=True)

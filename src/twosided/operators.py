@@ -5,13 +5,13 @@ All operators are immutable after construction and expose ``matvec``; the
 matvec count is the cost unit everything else in this package is measured
 in. The two storage classes also give ``diagonal``, ``to_dense`` and
 ``scaled``, the stored copy mapped onto [-1, 1] that the Chebyshev
-evaluators run on.
+evaluators run on. A Matrix Market file is read once and split into lines
+once; the bulk parser and the line-by-line reader both start from them.
 """
 
 from __future__ import annotations
 
 import math
-import re
 import threading
 import warnings
 
@@ -229,11 +229,6 @@ class MatrixMarketError(ValueError):
 
 _SYMMETRY_RTOL = 1e-12
 
-# str.splitlines breaks lines at these as well as at \n and \r (found by their
-# UTF-8 bytes)
-_SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_BREAK = re.compile(rb"\r\n?|\n")
-
 
 def load_matrix_market(path):
     """Read a real Matrix Market file into an operator.
@@ -243,42 +238,30 @@ def load_matrix_market(path):
     ``general`` files must hold symmetric content to within 1e-12 relative
     and are symmetrized on load.
 
-    The data section of a coordinate file is parsed by one ``np.loadtxt``
-    call. Where that parse could differ from reading the file line by line
-    with ``str.split``, ``int`` and ``float``, or where the parsed arrays fail
-    a check, the file is read line by line instead, so every file yields the
-    line-by-line result or its line-numbered error.
+    The file is split into lines once, by ``str.splitlines``. The data lines
+    of a coordinate file, when all ASCII, are parsed by one ``np.loadtxt``
+    call. Where that parse fails or the parsed arrays fail a check, and for
+    every other file, the file is read line by line with ``str.split``,
+    ``int`` and ``float`` instead, so every file yields the line-by-line
+    result or its line-numbered error.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    # both readers must split the header alike, so it may hold any character but
-    # these line breaks; the data section must be ASCII without them, since
-    # np.loadtxt reads the first five as spaces
-    start = _data_start(raw)
-    regular = (not any(c.encode() in raw[:start] for c in _SPLITLINES_BREAKS)
-               and (raw.isascii() or raw[start:].isascii())
-               and not any(c.encode() in raw for c in _SPLITLINES_BREAKS[:5]))
-    del raw
-    if regular:
-        with open(path) as fh:
-            fmt, symmetry, d, nnz, _ = _read_header(line.rstrip("\n") for line in fh)
-            triplets = _parse_coordinate_bulk(fh, d, nnz) if fmt == "coordinate" else None
+    lines = _lines(path)
+    fmt, symmetry, d, nnz, size_line_no = _read_header(iter(lines))
+    del lines[:size_line_no]
+    # on split lines loadtxt splits tokens at str.split's whitespace; outside
+    # ASCII it fails on digits that int and float accept, never misreads them
+    if fmt == "coordinate" and all(map(str.isascii, lines)):
+        triplets = _parse_coordinate_bulk(lines, d, nnz)
+        del lines  # else assembly's peak would hold every line, 86 B per entry more
         if triplets is not None:
             return _assemble_coordinate(d, *triplets, symmetry)
     return _load_by_line(path)
 
 
-def _data_start(raw: bytes) -> int:
-    """Byte offset of the line after the size line, the first line after
-    line 1 that is neither blank nor a % comment; len(raw) without one. Lines
-    that bytes.strip leaves non-blank but str.strip does not only move the
-    offset earlier."""
-    pos = 0
-    for n, end in enumerate(_LINE_BREAK.finditer(raw)):
-        line, pos = raw[pos:end.start()].strip(), end.end()
-        if n and line and not line.startswith(b"%"):
-            return pos
-    return len(raw)
+def _lines(path):
+    """The lines of a UTF-8 text file, split by ``str.splitlines``."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
 
 
 def _read_header(lines):
@@ -333,7 +316,7 @@ def _read_header(lines):
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
-def _parse_coordinate_bulk(fh, d, nnz):
+def _parse_coordinate_bulk(lines, d, nnz):
     """0-based rows and columns and the values of a coordinate data section,
     parsed by one ``np.loadtxt`` call; None leaves the file to the
     line-by-line reader.
@@ -345,7 +328,7 @@ def _parse_coordinate_bulk(fh, d, nnz):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty data section only warns
-            t = np.loadtxt(fh, dtype=_TRIPLET, comments=None, ndmin=1)
+            t = np.loadtxt(lines, dtype=_TRIPLET, comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
     i, j, v = t["i"], t["j"], t["v"]
@@ -357,8 +340,7 @@ def _parse_coordinate_bulk(fh, d, nnz):
 
 def _load_by_line(path):
     """:func:`load_matrix_market`, reading the data section line by line."""
-    with open(path) as fh:
-        lines = iter(fh.read().splitlines())
+    lines = iter(_lines(path))
     fmt, symmetry, d, nnz, size_line_no = _read_header(lines)
     entries = []
     for offset, raw in enumerate(lines, start=size_line_no + 1):

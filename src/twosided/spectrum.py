@@ -40,7 +40,7 @@ def enclosing(lo: float, hi: float, safety: float = 0.0, converged: bool = True,
     return SpectralInterval(lo - margin, hi + margin, safety, converged, matvecs)
 
 
-def estimate_interval(op: SymmetricOperator, iters: int = 500, tol: float = 1e-10,
+def estimate_interval(op: SymmetricOperator, iters: int = 1000, tol: float = 1e-8,
                       seed: int = 0, safety: float = 0.01) -> SpectralInterval:
     """Enclose the spectrum by at most min(iters, dim) Lanczos steps, one matvec each.
 

@@ -168,6 +168,7 @@ class TestEstimateCommand:
         ("--interval=-inf,inf",),
         ("--evaluators", "two_sided_chebyshev,two_sided_chebyshev"),
         ("--seed", "-1"),
+        ("--seed", str(2**64)),
     ])
     def test_invalid_configuration_is_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "r.json"
@@ -211,6 +212,27 @@ class TestEstimateCommand:
         src = str(Path(twosided.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_text_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # warn_default_encoding warns at every open() that leaves the encoding to the locale
+        mtx = tmp_path / "accents.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n% Ren\u00e9e\n"
+                       "3 3 4\n1 1 2.0\n2 1 -1.0\n2 2 2.0\n3 3 1.5\n", encoding="utf-8")
+        out, coeffs = str(tmp_path / "r.json"), str(tmp_path / "c.json")
+        code = (
+            "from twosided import cli\n"
+            "from twosided.chebyshev import load_coefficients\n"
+            f"assert cli.main(['estimate', '--matrix', {str(mtx)!r}, '--interval', 'power',"
+            f" '--terms', '--format', 'both', '--out', {out!r}]) == 0\n"
+            f"assert cli.main(['interpolate', '--function', 'exp_scaled:1', '--degree', '8',"
+            f" '--out', {coeffs!r}]) == 0\n"
+            f"assert load_coefficients({coeffs!r}).coeffs.size == 9\n")
+        src = str(Path(twosided.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-c", code],
+                              env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
     def test_non_finite_matrix_entry_is_validation_error(self, tmp_path, capsys):

@@ -462,6 +462,8 @@ _QUIRKS = [
     lambda t: "\xa0".join(t),
     lambda t: " ".join(t) + "\u2028",
 ]
+# str.splitlines breaks lines at these as well as at \n and \r
+_SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @st.composite
@@ -505,8 +507,12 @@ def matrix_market_files(draw):
         else:  # one token too few or too many
             tokens = tokens[:-1] if len(tokens) > 1 else tokens * 2
         lines[k] = " ".join(tokens)
+    # or any text, with a str.splitlines break before a comment or another line
+    comment = draw(st.just("% comment") | st.builds(
+        "% {}{}{}{}".format, st.text(), st.sampled_from(_SPLITLINES_BREAKS),
+        st.sampled_from(["%", ""]), st.text()))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join([header, "% comment", size, *lines]) + newline
+    return newline.join([header, comment, size, *lines]) + newline
 
 
 def _arrays(op):
@@ -575,8 +581,8 @@ def test_bulk_parse_agrees_with_line_by_line(tmp_path, monkeypatch, line, newlin
 
 @pytest.mark.parametrize("comment, parsed_in_bulk, result", [
     ("% author: Ren\u00e9e M\u00fcller", True, 0.5),
-    ("% Ren\u00e9e\u2028% M\u00fcller", False, 0.5),  # str.splitlines breaks at U+2028
-    ("% Ren\u00e9e\u2028M\u00fcller", False,
+    ("% Ren\u00e9e\u2028% M\u00fcller", True, 0.5),  # str.splitlines breaks at U+2028
+    ("% Ren\u00e9e\u2028M\u00fcller", True,
      "line 3: non-integer token in size line: 'M\u00fcller'"),
 ], ids=["non-ascii-comment", "u2028-between-comments", "u2028-before-text"])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
@@ -596,6 +602,17 @@ def test_header_comment_outside_ascii(tmp_path, monkeypatch, comment, parsed_in_
         assert outcome == result
     else:
         assert np.frombuffer(outcome[3]).tolist() == [2.0, result, result, 2.0]
+
+
+def test_coordinate_file_is_opened_once(tmp_path, monkeypatch):
+    path = tmp_path / "r.mtx"
+    path.write_text(_SYMMETRIC_3X3.format("2 1 0.5"))
+    opened = []
+    monkeypatch.setattr(operators, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
+                        raising=False)
+    op = load_matrix_market(path)
+    assert opened == [path]
+    assert op.data.tolist() == [2.0, 0.5, 0.5, 2.0]
 
 
 def test_coordinate_memory_per_stored_entry(tmp_path):
