@@ -20,8 +20,6 @@ __all__ = [
     "exact_trace_f",
 ]
 
-_SEED_MASK = (1 << 64) - 1
-
 
 class ProbeSequence:
     """Index-addressable Rademacher probes in {-1, +1}^d.
@@ -30,11 +28,15 @@ class ProbeSequence:
     consumed out of order or concurrently without changing any vector. The
     sign bits of every probe made are kept, d/8 bytes each, so a repeated
     index is unpacked rather than generated again; each call returns a new
-    array.
+    array. The seed is 64 bits, so one outside [0, 2**64) is a ValueError
+    rather than another seed's probes.
     """
 
     def __init__(self, seed: int, dim: int):
-        self.seed = int(seed) & _SEED_MASK
+        seed = int(seed)
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"probe seed must be in [0, 2**64), got {seed}")
+        self.seed = seed
         self.dim = int(dim)
         self._bits = {}
 

@@ -51,7 +51,8 @@ class DenseSymmetric(SymmetricOperator):
 
     The entry array must be exactly symmetric; callers holding only
     approximately symmetric data should symmetrize with ``(M + M.T) / 2``
-    first.
+    first. A float64 array is taken without copying and marked read-only,
+    so the caller's array becomes the operator's storage.
     """
 
     def __init__(self, entries):
@@ -214,13 +215,29 @@ class CountingOperator(SymmetricOperator):
         return self.inner.matvec(v)
 
 
+_SYMMETRIZE_ROWS = 64
+
+
 def random_symmetric(d: int, seed: int) -> DenseSymmetric:
-    """Symmetrized standard Gaussian matrix (B + B^T) / 2, reproducible per seed."""
+    """Symmetrized standard Gaussian matrix (B + B^T) / 2, reproducible per seed.
+
+    B is symmetrized in place, one block of 64 rows at a time, so the build
+    holds one d x d array and one 64 x d block; the operator takes B itself.
+    Both entries of a pair (b_rc, b_cr) are read before either is written, and
+    b_rc + b_cr == b_cr + b_rc exactly, so every entry equals the one
+    ``(B + B.T) / 2.0`` gives.
+    """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((d, d))
-    return DenseSymmetric((B + B.T) / 2.0)
+    for i in range(0, d, _SYMMETRIZE_ROWS):
+        j = i + _SYMMETRIZE_ROWS
+        block = B[i:j, i:] + B[i:, i:j].T
+        block /= 2.0
+        B[i:j, i:] = block
+        B[i:, i:j] = block.T
+    return DenseSymmetric(B)
 
 
 class MatrixMarketError(ValueError):

@@ -38,6 +38,18 @@ class TestRademacher:
         with pytest.raises(ValueError):
             ProbeSequence(0, 4).vector(-1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # masking to 64 bits would alias -1 to 2**64 - 1 and 2**64 to 0
+        with pytest.raises(ValueError, match=f"got {seed}$"):
+            ProbeSequence(seed, 50)
+
+    def test_largest_seed_keeps_its_stream(self):
+        seed = 2**64 - 1
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+        expected = 2.0 * rng.integers(0, 2, size=50) - 1.0
+        assert np.array_equal(ProbeSequence(seed, 50).vector(3), expected)
+
 
 class TestProbeCache:
     def test_repeated_and_out_of_order_calls_match_a_fresh_sequence(self):

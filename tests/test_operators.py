@@ -224,6 +224,27 @@ class TestRandomSymmetric:
         assert np.array_equal(random_symmetric(50, 7).entries,
                               random_symmetric(50, 7).entries)
 
+    @pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 128, 129, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_in_place_build_equals_the_symmetrized_copy(self, d, seed):
+        # the sizes straddle the 64-row blocks of the in-place build
+        B = np.random.default_rng(seed).standard_normal((d, d))
+        M = random_symmetric(d, seed).entries
+        assert np.array_equal(M, (B + B.T) / 2.0)
+        assert np.array_equal(M, M.T)
+
+    def test_build_holds_one_matrix(self):
+        d = 1000
+        random_symmetric(1, 0)  # numpy.random's first use allocates outside the build
+        tracemalloc.start()
+        try:
+            random_symmetric(d, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # B and its 64-row blocks; a symmetrized copy beside B would reach 2 * 8 d^2
+        assert peak <= 1.25 * 8 * d * d
+
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             random_symmetric(0, 1)
