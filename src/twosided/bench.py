@@ -61,7 +61,9 @@ class BenchConfig:
     terms: bool = False
 
     def validate(self):
-        """Raise ConfigError naming the first invalid setting."""
+        """Raise ConfigError naming the first invalid setting; return the
+        resolved :class:`~twosided.functions.FunctionSpec` and the user's
+        'lo,hi' interval, which is None for 'exact' and 'power'."""
         if (self.matrix_path is None) == (self.synthetic_dim is None):
             raise ConfigError("give exactly one of a matrix file or a synthetic dimension")
         if self.synthetic_dim is not None and self.synthetic_dim < 1:
@@ -81,16 +83,18 @@ class BenchConfig:
                     raise ValueError(f"evaluator {name!r} is selected more than once")
             if not self.evaluators:
                 raise ValueError("at least one evaluator must be selected")
-            resolve(self.function)
-            _user_interval(self.interval)
+            fspec = resolve(self.function)
+            interval = (None if self.interval in ("exact", "power")
+                        else SpectralInterval.parse(self.interval))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        return fspec, interval
 
     def as_dict(self):
         return {**asdict(self), "evaluators": list(self.evaluators)}
 
 
-def reproduce_config(dim: int, trials: int = 100, degree: int = 20) -> BenchConfig:
+def reproduce_config(dim: int, trials: int, degree: int) -> BenchConfig:
     """The ``reproduce`` preset: f(x) = exp(10 x / sqrt(2 dim)) on ``random_symmetric(dim,
     2024)``, whose semicircle edge sqrt(2 dim) keeps f near e^-10..e^10 at every dim."""
     return BenchConfig(synthetic_dim=dim, seed=2024,
@@ -98,21 +102,14 @@ def reproduce_config(dim: int, trials: int = 100, degree: int = 20) -> BenchConf
                        degree=degree, probes=trials, interval="exact", terms=True)
 
 
-def _user_interval(spec: str) -> SpectralInterval | None:
-    """The explicit 'lo,hi' interval of ``spec``; None for 'exact' and 'power'."""
-    if spec in ("exact", "power"):
-        return None
-    return SpectralInterval.parse(spec)
-
-
-def _resolve_interval(op, spec: str, seed: int) -> tuple[SpectralInterval, str, np.ndarray | None]:
-    """The spectral interval, its source, and the eigenvalues when exact."""
+def _resolve_interval(op, spec: str, interval, seed: int):
+    """The spectral interval, its source, and the eigenvalues when exact;
+    ``interval`` is the user's 'lo,hi', None for 'exact' and 'power'."""
     if spec == "exact":
         eigs = np.linalg.eigvalsh(op.to_dense().entries)
         return enclosing(float(eigs[0]), float(eigs[-1])), "exact", eigs
     if spec == "power":
         return estimate_interval(op, seed=seed), "power", None
-    interval = _user_interval(spec)
     # a_ii = e_i^T A e_i is a Rayleigh quotient, so it lies in [lambda_min, lambda_max]
     diag = op.diagonal()
     outside = np.flatnonzero((diag < interval.lo) | (diag > interval.hi))
@@ -235,13 +232,12 @@ def run_estimate(cfg: BenchConfig) -> dict:
     and ``interpolation_relative_error``, their difference over the sum of
     |f(lambda_i)|; above :data:`INTERPOLATION_TOLERANCE` the interpolant is
     too coarse for the estimate to stand for tr f(A)."""
-    cfg.validate()
+    fspec, user_interval = cfg.validate()
     if cfg.matrix_path is not None:
         op = load_matrix_market(cfg.matrix_path)
     else:
         op = random_symmetric(cfg.synthetic_dim, cfg.seed)
-    interval, interval_source, eigs = _resolve_interval(op, cfg.interval, cfg.seed)
-    fspec = resolve(cfg.function)
+    interval, interval_source, eigs = _resolve_interval(op, cfg.interval, user_interval, cfg.seed)
     cheb = interpolate(fspec.fn, cfg.degree, interval)
     coeffs_by_name = {name: cheb if evaluator_basis(name) == CHEBYSHEV else _standard(cheb)
                       for name in cfg.evaluators}

@@ -62,14 +62,14 @@ def cmd_interpolate(func_spec, degree, interval, out):
               help="Matrix Market input file.")
 @click.option("--synthetic", "synthetic_dim", type=int, default=None,
               help="Generate a seeded random symmetric matrix of this dimension.")
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=int, default=BenchConfig.seed, show_default=True,
               help="Seed for matrix synthesis and probe generation, below 2**64.")
-@click.option("--function", "func_spec", default="exp_scaled:10", show_default=True)
-@click.option("--degree", "-n", type=int, default=20, show_default=True)
-@click.option("--probes", "-m", type=int, default=100, show_default=True)
-@click.option("--evaluators", default="one_sided_chebyshev,two_sided_chebyshev",
+@click.option("--function", "func_spec", default=BenchConfig.function, show_default=True)
+@click.option("--degree", "-n", type=int, default=BenchConfig.degree, show_default=True)
+@click.option("--probes", "-m", type=int, default=BenchConfig.probes, show_default=True)
+@click.option("--evaluators", default=",".join(BenchConfig.evaluators),
               show_default=True, help="Comma-separated evaluator names.")
-@click.option("--interval", default="exact", show_default=True,
+@click.option("--interval", default=BenchConfig.interval, show_default=True,
               help="Spectral interval: 'exact', 'power', or 'lo,hi'.")
 @click.option("--terms", is_flag=True, help="Record per-term breakdowns.")
 @click.option("--out", type=click.Path(), required=True, help="Result file to write.")
@@ -109,7 +109,8 @@ def cmd_reproduce(full, dim, trials, degree, out):
     d = 5000 if full else dim
     if d < 50:
         raise click.UsageError("desk-scale dimension must be >= 50")
-    doc = run_estimate(reproduce_config(d, trials, degree))
+    cfg = reproduce_config(d, trials, degree)
+    doc = run_estimate(cfg)
     for line in result_warnings(doc):
         click.echo(line, err=True)
     click.echo(f"dimension {d}, degree {degree}, {trials} trials, f = {doc['function']}")
@@ -118,7 +119,7 @@ def cmd_reproduce(full, dim, trials, degree, out):
     for name, rec in doc["evaluators"].items():
         click.echo(f"estimate [{name}]: {rec['mean']:.6e} "
                    f"(matvecs {rec['total_matvecs']}, {rec['wall_time_seconds']:.2f} s)")
-    for key, value in doc["comparisons"]["one_sided_chebyshev|two_sided_chebyshev"].items():
+    for key, value in doc["comparisons"]["|".join(cfg.evaluators)].items():
         click.echo(f"{key.replace('_', ' ')}: {value:.3e}")
     if out:
         write_result(doc, out)

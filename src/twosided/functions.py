@@ -1,10 +1,10 @@
 """Registry of scalar functions for trace estimation benchmarks.
 
-Function specs are strings of the form ``name`` or ``name:params``, e.g.
-``exp_scaled:10``, ``power:2``, ``inverse_shifted:0.01``, or
-``poly:1,0,0.5`` for an explicit standard-basis polynomial. Singular
-functions (log, inverse) are shifted so they are finite on [-1, 1]; the
-shift epsilon defaults to 1e-2 and is the optional parameter.
+A spec is ``name`` or ``name:p1,p2,...``, every parameter a float and none
+empty; ``name:`` is ``name``. ``identity`` takes no parameter; ``exp_scaled:c``,
+``power:p``, ``inverse_shifted[:eps]`` and ``log_shifted[:eps]`` take one (the
+last two are shifted by eps, default 1e-2, to be finite on [-1, 1]); and
+``poly:c0,c1,...`` takes standard-basis coefficients.
 """
 
 from __future__ import annotations
@@ -18,6 +18,16 @@ __all__ = ["FunctionSpec", "UnknownFunctionError", "resolve"]
 
 _DEFAULT_EPS = 1e-2
 
+# name -> (default parameter, or None when it is required; builder of f from it)
+_ONE_PARAMETER = {
+    "exp_scaled": (None, lambda c: lambda x: math.exp(c * x)),
+    "power": (None, lambda p: lambda x: x ** p),
+    "inverse_shifted": (_DEFAULT_EPS, lambda eps: lambda x: 1.0 / (x + 1.0 + eps)),
+    "log_shifted": (_DEFAULT_EPS, lambda eps: lambda x: math.log(x + 1.0 + eps)),
+}
+
+_NAMES = sorted(["identity", "poly", *_ONE_PARAMETER])
+
 
 class UnknownFunctionError(ValueError):
     """Raised for a function spec not in the registry."""
@@ -29,46 +39,37 @@ class FunctionSpec:
     fn: object  # scalar callable
 
 
-def _parse_floats(params: str, what: str):
+def _parameters(name: str, params: str) -> list[float]:
+    """The floats of a comma-separated parameter list; none for ``""``."""
+    tokens = params.split(",") if params else []
+    if any(t.strip() == "" for t in tokens):
+        raise UnknownFunctionError(f"{name} parameters {params!r} hold an empty entry")
     try:
-        return [float(t) for t in params.split(",") if t.strip() != ""]
+        return [float(t) for t in tokens]
     except ValueError:
-        raise UnknownFunctionError(f"malformed {what} parameters: {params!r}") from None
-
-
-def _one_param(params: str, default, what: str):
-    if params == "":
-        if default is None:
-            raise UnknownFunctionError(f"{what} requires a parameter")
-        return default
-    vals = _parse_floats(params, what)
-    if len(vals) != 1:
-        raise UnknownFunctionError(f"{what} takes one parameter, got {params!r}")
-    return vals[0]
+        raise UnknownFunctionError(f"malformed {name} parameters: {params!r}") from None
 
 
 def resolve(spec: str) -> FunctionSpec:
-    """Resolve a ``name[:params]`` spec into a scalar callable."""
+    """Resolve a ``name[:p1,p2,...]`` spec into a scalar callable."""
     name, _, params = spec.partition(":")
     name = name.strip()
+    if name not in _NAMES:
+        raise UnknownFunctionError(f"unknown function {name!r}; choose from {', '.join(_NAMES)}")
+    values = _parameters(name, params)
     if name == "identity":
+        if values:
+            raise UnknownFunctionError(f"identity takes no parameter, got {params!r}")
         return FunctionSpec("identity", lambda x: x)
-    if name == "exp_scaled":
-        c = _one_param(params, None, "exp_scaled")
-        return FunctionSpec(f"exp_scaled:{c:g}", lambda x: math.exp(c * x))
-    if name == "power":
-        p = _one_param(params, None, "power")
-        return FunctionSpec(f"power:{p:g}", lambda x: x ** p)
-    if name == "inverse_shifted":
-        eps = _one_param(params, _DEFAULT_EPS, "inverse_shifted")
-        return FunctionSpec(f"inverse_shifted:{eps:g}", lambda x: 1.0 / (x + 1.0 + eps))
-    if name == "log_shifted":
-        eps = _one_param(params, _DEFAULT_EPS, "log_shifted")
-        return FunctionSpec(f"log_shifted:{eps:g}", lambda x: math.log(x + 1.0 + eps))
     if name == "poly":
-        coeffs = _parse_floats(params, "poly")
-        if not coeffs:
+        if not values:
             raise UnknownFunctionError("poly requires at least one coefficient")
-        p = PolynomialCoefficients(STANDARD, coeffs)
+        p = PolynomialCoefficients(STANDARD, values)
         return FunctionSpec(f"poly:{params}", lambda x: eval_scalar(p, x))
-    raise UnknownFunctionError(f"unknown function {name!r}")
+    default, build = _ONE_PARAMETER[name]
+    if not values and default is None:
+        raise UnknownFunctionError(f"{name} requires a parameter")
+    if len(values) > 1:
+        raise UnknownFunctionError(f"{name} takes one parameter, got {params!r}")
+    value = values[0] if values else default
+    return FunctionSpec(f"{name}:{value:g}", build(value))

@@ -5,12 +5,14 @@ All operators are immutable after construction and expose ``matvec``; the
 matvec count is the cost unit everything else in this package is measured
 in. The two storage classes also give ``diagonal``, ``to_dense`` and
 ``scaled``, the stored copy mapped onto [-1, 1] that the Chebyshev
-evaluators run on. A Matrix Market file is read once and split into lines
-once; the bulk parser and the line-by-line reader both start from them.
+evaluators run on. A Matrix Market file is opened, read and split into
+lines once; the bulk parser and the line-by-line reader both work on those
+lines.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import warnings
@@ -258,21 +260,20 @@ def load_matrix_market(path):
     The file is split into lines once, by ``str.splitlines``. The data lines
     of a coordinate file, when all ASCII, are parsed by one ``np.loadtxt``
     call. Where that parse fails or the parsed arrays fail a check, and for
-    every other file, the file is read line by line with ``str.split``,
+    every other file, the same lines are read one by one with ``str.split``,
     ``int`` and ``float`` instead, so every file yields the line-by-line
     result or its line-numbered error.
     """
     lines = _lines(path)
     fmt, symmetry, d, nnz, size_line_no = _read_header(iter(lines))
-    del lines[:size_line_no]
     # on split lines loadtxt splits tokens at str.split's whitespace; outside
     # ASCII it fails on digits that int and float accept, never misreads them
-    if fmt == "coordinate" and all(map(str.isascii, lines)):
-        triplets = _parse_coordinate_bulk(lines, d, nnz)
-        del lines  # else assembly's peak would hold every line, 86 B per entry more
+    if fmt == "coordinate" and all(map(str.isascii, itertools.islice(lines, size_line_no, None))):
+        triplets = _parse_coordinate_bulk(lines, size_line_no, d, nnz)
         if triplets is not None:
+            del lines  # else assembly's peak would hold every line, 86 B per entry more
             return _assemble_coordinate(d, *triplets, symmetry)
-    return _load_by_line(path)
+    return _load_by_line(lines)
 
 
 def _lines(path):
@@ -333,10 +334,10 @@ def _read_header(lines):
 _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
-def _parse_coordinate_bulk(lines, d, nnz):
-    """0-based rows and columns and the values of a coordinate data section,
-    parsed by one ``np.loadtxt`` call; None leaves the file to the
-    line-by-line reader.
+def _parse_coordinate_bulk(lines, size_line_no, d, nnz):
+    """0-based rows and columns and the values of the coordinate data section
+    after the first ``size_line_no`` of ``lines``, parsed by one ``np.loadtxt``
+    call; None leaves the file to the line-by-line reader.
 
     loadtxt reads a token only where ``int`` or ``float`` reads the same
     number, and fails on the others (such as ``1_000``, which both accept)
@@ -345,7 +346,7 @@ def _parse_coordinate_bulk(lines, d, nnz):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty data section only warns
-            t = np.loadtxt(lines, dtype=_TRIPLET, comments=None, ndmin=1)
+            t = np.loadtxt(lines, dtype=_TRIPLET, comments=None, skiprows=size_line_no, ndmin=1)
     except (ValueError, Warning):
         return None
     i, j, v = t["i"], t["j"], t["v"]
@@ -355,9 +356,9 @@ def _parse_coordinate_bulk(lines, d, nnz):
     return i - 1, j - 1, v.copy()
 
 
-def _load_by_line(path):
-    """:func:`load_matrix_market`, reading the data section line by line."""
-    lines = iter(_lines(path))
+def _load_by_line(lines):
+    """:func:`load_matrix_market` on a file's lines, read one by one."""
+    lines = iter(lines)
     fmt, symmetry, d, nnz, size_line_no = _read_header(lines)
     entries = []
     for offset, raw in enumerate(lines, start=size_line_no + 1):

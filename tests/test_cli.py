@@ -169,6 +169,8 @@ class TestEstimateCommand:
         ("--evaluators", "two_sided_chebyshev,two_sided_chebyshev"),
         ("--seed", "-1"),
         ("--seed", str(2**64)),
+        ("--function", "poly:1,,2"),
+        ("--function", "identity:5"),
     ])
     def test_invalid_configuration_is_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "r.json"

@@ -564,7 +564,7 @@ def test_reader_returns_operator_or_matrix_market_error(tmp_path_factory, text):
         assert op.dim >= 1
         outcome = _arrays(op)
     # the bulk parse of coordinate data agrees with the line-by-line reader
-    assert outcome == _outcome(operators._load_by_line, path)
+    assert outcome == _outcome(lambda p: operators._load_by_line(operators._lines(p)), path)
 
 
 _SYMMETRIC_3X3 = "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 2.0\n{}\n3 3 2.0\n"
@@ -592,7 +592,7 @@ def test_bulk_parse_agrees_with_line_by_line(tmp_path, monkeypatch, line, newlin
     fallbacks = []
     monkeypatch.setattr(operators, "_load_by_line", lambda p: fallbacks.append(p) or by_line(p))
     outcome = _outcome(load_matrix_market, path)
-    assert outcome == _outcome(by_line, path)
+    assert outcome == _outcome(lambda p: by_line(operators._lines(p)), path)
     assert (not fallbacks) == parsed_in_bulk
     if isinstance(result, str):
         assert outcome == result
@@ -617,7 +617,7 @@ def test_header_comment_outside_ascii(tmp_path, monkeypatch, comment, parsed_in_
     fallbacks = []
     monkeypatch.setattr(operators, "_load_by_line", lambda p: fallbacks.append(p) or by_line(p))
     outcome = _outcome(load_matrix_market, path)
-    assert outcome == _outcome(by_line, path)
+    assert outcome == _outcome(lambda p: by_line(operators._lines(p)), path)
     assert (not fallbacks) == parsed_in_bulk
     if isinstance(result, str):
         assert outcome == result
@@ -625,15 +625,22 @@ def test_header_comment_outside_ascii(tmp_path, monkeypatch, comment, parsed_in_
         assert np.frombuffer(outcome[3]).tolist() == [2.0, result, result, 2.0]
 
 
-def test_coordinate_file_is_opened_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("text, stored", [
+    (_SYMMETRIC_3X3.format("2 1 0.5"), [2.0, 0.5, 0.5, 2.0]),
+    # loadtxt fails on 1_000, so the line reader parses the lines already read
+    (_SYMMETRIC_3X3.format("2 1 1_000"), [2.0, 1000.0, 1000.0, 2.0]),
+    ("%%MatrixMarket matrix array real symmetric\n2 2\n2.0\n0.5\n3.0\n", [2.0, 0.5, 0.5, 3.0]),
+], ids=["coordinate", "line-reader", "array"])
+def test_coordinate_file_is_opened_once(tmp_path, monkeypatch, text, stored):
     path = tmp_path / "r.mtx"
-    path.write_text(_SYMMETRIC_3X3.format("2 1 0.5"))
+    path.write_text(text)
     opened = []
     monkeypatch.setattr(operators, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
                         raising=False)
     op = load_matrix_market(path)
     assert opened == [path]
-    assert op.data.tolist() == [2.0, 0.5, 0.5, 2.0]
+    values = op.data if isinstance(op, SparseSymmetric) else op.entries.reshape(-1)
+    assert values.tolist() == stored
 
 
 def test_coordinate_memory_per_stored_entry(tmp_path):
