@@ -8,7 +8,6 @@ f on the spectral interval itself."""
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -120,17 +119,22 @@ def interpolate(f, n: int, interval: Interval = CANONICAL) -> PolynomialCoeffici
 
 
 def function_values(f, x, where: str = "node") -> np.ndarray:
-    """``f`` at each point of ``x``; ValueError naming the first point where
-    f is not finite or raises an arithmetic or domain error."""
-    fv = np.full(len(x), math.nan)
+    """``f`` at each point of ``x``; ValueError naming the first point where f
+    returns NaN (f is undefined there, as ``x ** 0.5`` at x < 0), or returns
+    +-inf or raises an arithmetic or domain error (f is not finite there)."""
+    fv = np.empty(len(x))
     with np.errstate(all="ignore"):
         for j, xj in enumerate(x):
-            with contextlib.suppress(ArithmeticError, ValueError):
+            try:
                 fv[j] = f(xj)
+            except (ArithmeticError, ValueError):
+                fv[j] = math.inf
     bad = np.flatnonzero(~np.isfinite(fv))
     if bad.size:
-        raise ValueError(f"function value is not finite at {where} "
-                         f"x={float(x[bad[0]])!r} ({where} index {bad[0]})")
+        j = bad[0]
+        at = f"{where} x={float(x[j])!r} ({where} index {j})"
+        raise ValueError(f"f is undefined at {at}: it returns NaN" if math.isnan(fv[j])
+                         else f"function value is not finite at {at}")
     return fv
 
 

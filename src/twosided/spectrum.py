@@ -40,7 +40,7 @@ def enclosing(lo: float, hi: float, safety: float = 0.0, converged: bool = True,
     return SpectralInterval(lo - margin, hi + margin, safety, converged, matvecs)
 
 
-def estimate_interval(op: SymmetricOperator, iters: int = 1000, tol: float = 1e-8,
+def estimate_interval(op: SymmetricOperator, iters: int = 1000, tol: float = 1e-4,
                       seed: int = 0, safety: float = 0.01) -> SpectralInterval:
     """Enclose the spectrum by at most min(iters, dim) Lanczos steps, one matvec each.
 
@@ -48,7 +48,10 @@ def estimate_interval(op: SymmetricOperator, iters: int = 1000, tol: float = 1e-
     ``beta``). With T_k's extreme eigenpairs (theta, s), the residual bound is
     r = |s_k| beta_k and the enclosure [theta_min - r_min, theta_max + r_max],
     widened by ``safety``. The run converges once max(r_min, r_max) <= tol
-    (theta_max - theta_min), checked on a geometric schedule. At a breakdown
+    (theta_max - theta_min), checked on a geometric schedule. The default tol
+    is one hundredth of the default 1% ``safety``, so r is at most 2% of the
+    margin on each side: a tighter tol buys digits that the margin covers
+    anyway, for about half as many matvecs again. At a breakdown
     (beta_k = 0) T_k's eigenvalues are exact, but the start vector may lie in
     an invariant subspace: the run restarts once from a fresh random vector
     and ends at the second breakdown. A multiple of I raises ValueError."""

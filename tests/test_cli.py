@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -111,6 +112,21 @@ def test_non_finite_function_value_is_validation_error(tmp_path, capsys, args, w
     out = tmp_path / "out.json"
     assert run(*args, "--out", str(out)) == 2
     assert f"function value is not finite at {where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, where", [
+    (("interpolate", "--function", "power:0.5", "--degree", "5"),
+     r"node x=-0\.30901699437494734 \(node index 3\)"),
+    # the nodes' last digits follow LAPACK's eigenvalues, the exact interval's ends
+    (("estimate", "--synthetic", "30", "--function", "power:0.5", "--probes", "5"),
+     r"node x=-0\.6\d* \(node index 11\)"),
+])
+def test_nan_function_value_is_undefined(tmp_path, capsys, args, where):
+    # numpy's float64 ** 0.5 is NaN below 0: f is undefined there, not infinite
+    out = tmp_path / "out.json"
+    assert run(*args, "--out", str(out)) == 2
+    assert re.search(f"f is undefined at {where}: it returns NaN", capsys.readouterr().err)
     assert not out.exists()
 
 

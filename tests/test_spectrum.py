@@ -121,6 +121,22 @@ def test_permutation_pattern_converges_in_few_matvecs(seed):
     assert iv.lo <= eigs[0] and eigs[-1] <= iv.hi
 
 
+@pytest.mark.parametrize("kind, seed", [*(("sparse", s) for s in range(10)),
+                                        *(("gaussian", s) for s in range(5))])
+def test_default_tolerance_keeps_most_of_the_margin(kind, seed):
+    # the default tol is 1/100 of the 1% safety margin: the Ritz values may
+    # stop short of the extremes, but by little of the 0.5% each side adds
+    op = permutation_pattern(1000, 10, seed) if kind == "sparse" else random_symmetric(200, seed)
+    counter = CountingOperator(op)
+    iv = estimate_interval(counter, seed=seed)
+    eigs = np.linalg.eigvalsh(op.to_dense().entries)
+    span = eigs[-1] - eigs[0]
+    assert iv.converged and iv.matvecs == counter.count
+    assert eigs[0] - iv.lo >= 0.004 * span and iv.hi - eigs[-1] >= 0.004 * span
+    if kind == "sparse":
+        assert iv.matvecs <= 96
+
+
 class _Diagonal(SymmetricOperator):
     def __init__(self, diag):
         self.diag, self.dim = diag, diag.size
