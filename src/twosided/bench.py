@@ -231,7 +231,10 @@ def run_estimate(cfg: BenchConfig) -> dict:
     ``polynomial_trace`` (the interpolant, what the estimates are unbiased for)
     and ``interpolation_relative_error``, their difference over the sum of
     |f(lambda_i)|; above :data:`INTERPOLATION_TOLERANCE` the interpolant is
-    too coarse for the estimate to stand for tr f(A)."""
+    too coarse for the estimate to stand for tr f(A). Every document holds
+    ``interpolation_tail``, sum_{k>n} |beta_k| / max_k |beta_k| over the
+    degree-2n interpolant beta of f on the interval (Trefethen, *ATAP*, ch. 8):
+    the same verdict where no eigenvalues are known."""
     fspec, user_interval = cfg.validate()
     if cfg.matrix_path is not None:
         op = load_matrix_market(cfg.matrix_path)
@@ -239,6 +242,9 @@ def run_estimate(cfg: BenchConfig) -> dict:
         op = random_symmetric(cfg.synthetic_dim, cfg.seed)
     interval, interval_source, eigs = _resolve_interval(op, cfg.interval, user_interval, cfg.seed)
     cheb = interpolate(fspec.fn, cfg.degree, interval)
+    beta = np.abs(interpolate(fspec.fn, 2 * cfg.degree, interval).coeffs)
+    top = float(np.max(beta))
+    tail = float(np.sum(beta[cfg.degree + 1:] / top)) if top > 0 else 0.0
     coeffs_by_name = {name: cheb if evaluator_basis(name) == CHEBYSHEV else _standard(cheb)
                       for name in cfg.evaluators}
     exact_trace = polynomial_trace = interpolation_error = None
@@ -246,8 +252,7 @@ def run_estimate(cfg: BenchConfig) -> dict:
         if eigs is not None:
             fv = function_values(fspec.fn, eigs, "eigenvalue")
             exact_trace = float(np.sum(fv))
-            polynomial_trace = float(np.sum(
-                np.polynomial.chebyshev.chebval(interval.to_canonical(eigs), cheb.coeffs)))
+            polynomial_trace = float(np.sum(cheb(eigs)))
             # sum |f(lambda_i)| does not vanish when the trace cancels; it is 0 only
             # when f is, and then the plain difference is reported
             scale, diff = float(np.sum(np.abs(fv))), abs(polynomial_trace - exact_trace)
@@ -263,6 +268,7 @@ def run_estimate(cfg: BenchConfig) -> dict:
         "exact_trace": exact_trace,
         "polynomial_trace": polynomial_trace,
         "interpolation_relative_error": interpolation_error,
+        "interpolation_tail": tail,
         "probe_checksum": checksum,
         "evaluators": records,
         "comparisons": comparisons,
@@ -274,11 +280,17 @@ def result_warnings(doc: dict):
     if not doc["spectral_interval"]["converged"]:
         yield ("warning: the Lanczos spectral interval did not converge; it rests on its 1% "
                "safety margin and may not contain the spectrum")
-    error = doc["interpolation_relative_error"]
+    n, error, tail = (doc["config"]["degree"], doc["interpolation_relative_error"],
+                      doc["interpolation_tail"])
     if error is not None and error > INTERPOLATION_TOLERANCE:
-        yield (f"warning: the degree-{doc['config']['degree']} interpolant misses tr f(A) by "
-               f"{error:.3g} of sum |f(lambda)| (tolerance {INTERPOLATION_TOLERANCE:g}); the "
-               "estimates are of the polynomial trace, raise --degree")
+        yield (f"warning: the degree-{n} interpolant misses tr f(A) by {error:.3g} of "
+               f"sum |f(lambda)| (tolerance {INTERPOLATION_TOLERANCE:g}); the estimates are "
+               "of the polynomial trace, raise --degree")
+    elif error is None and tail > INTERPOLATION_TOLERANCE:
+        yield (f"warning: the degree-{n} interpolant may miss f: the degree-{2 * n} "
+               f"interpolant's coefficients past degree {n} sum to {tail:.3g} of its largest "
+               f"(tolerance {INTERPOLATION_TOLERANCE:g}); the estimates are of the polynomial "
+               "trace, raise --degree")
 
 
 def write_result(doc: dict, path):

@@ -1,6 +1,6 @@
 """Chebyshev polynomials of the first kind: nodes, interpolation by one real
-FFT, scalar evaluation by numpy's ``polyval``/``chebval`` (the package's one
-series evaluator), interval transforms, and coefficient file I/O.
+FFT, interval transforms, coefficient file I/O, and the package's one series
+evaluator, a callable :class:`PolynomialCoefficients` (``eval_scalar`` is its float).
 
 :class:`Interval` [lo, hi] carries the affine maps onto and from [-1, 1];
 :class:`twosided.spectrum.SpectralInterval` is one, so ``estimate`` interpolates
@@ -52,8 +52,9 @@ class Interval:
         return cls(lo, hi)
 
     def to_canonical(self, x):
-        """Affine map of [lo, hi] onto [-1, 1]."""
-        return (2.0 * x - self.lo - self.hi) / (self.hi - self.lo)
+        """Affine map of [lo, hi] onto [-1, 1]: (2 x - (lo + hi)) / (hi - lo), the
+        arithmetic ``SymmetricOperator.scaled`` applies to the diagonal."""
+        return (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)
 
     def from_canonical(self, t):
         """Inverse of :meth:`to_canonical`: 0.5 ((hi - lo) t + lo + hi), with the ends
@@ -70,10 +71,10 @@ CANONICAL = Interval(-1.0, 1.0)
 @dataclass(frozen=True)
 class PolynomialCoefficients:
     """Coefficient list alpha_0..alpha_n in the standard or Chebyshev basis.
-
-    For the Chebyshev basis the interval records where the basis lives;
-    arguments are affinely mapped onto [-1, 1] before evaluation.
-    """
+    Calling it evaluates the series at a point or an array: numpy's ``polyval``
+    (Horner) for the standard basis, ``chebval`` (Clenshaw) at
+    ``interval.to_canonical(x)`` for the Chebyshev basis, whose interval records
+    where the basis lives (evaluation outside it amounts to extrapolation)."""
 
     basis: str
     coeffs: np.ndarray
@@ -93,6 +94,11 @@ class PolynomialCoefficients:
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
+
+    def __call__(self, x):
+        if self.basis == STANDARD:
+            return np.polynomial.polynomial.polyval(x, self.coeffs)
+        return np.polynomial.chebyshev.chebval(self.interval.to_canonical(x), self.coeffs)
 
 
 def chebyshev_nodes(n: int) -> np.ndarray:
@@ -139,15 +145,8 @@ def function_values(f, x, where: str = "node") -> np.ndarray:
 
 
 def eval_scalar(p: PolynomialCoefficients, x: float) -> float:
-    """Evaluate p at x: numpy's ``polyval`` (Horner) for the standard basis,
-    ``chebval`` (Clenshaw) at the canonical point for the Chebyshev basis.
-
-    Chebyshev evaluation outside ``p.interval`` is permitted but amounts to
-    extrapolation.
-    """
-    if p.basis == STANDARD:
-        return float(np.polynomial.polynomial.polyval(x, p.coeffs))
-    return float(np.polynomial.chebyshev.chebval(p.interval.to_canonical(x), p.coeffs))
+    """p at the point x, as a float."""
+    return float(p(x))
 
 
 def save_coefficients(p: PolynomialCoefficients, path):

@@ -47,8 +47,7 @@ def cmd_interpolate(func_spec, degree, interval, out):
     grid = np.linspace(domain.lo, domain.hi, 1000)
     fv = function_values(fspec.fn, grid, "grid point")
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.max(np.abs(
-            np.polynomial.chebyshev.chebval(domain.to_canonical(grid), p.coeffs) - fv))
+        residual = np.max(np.abs(p(grid) - fv))
     if not np.isfinite(residual):
         raise ValueError(f"evaluating the degree-{degree} interpolant on the 1000-point grid "
                          "overflows double precision")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chebyshev import STANDARD, PolynomialCoefficients, eval_scalar
+from .chebyshev import STANDARD, PolynomialCoefficients
 
 __all__ = ["FunctionSpec", "UnknownFunctionError", "resolve"]
 
@@ -64,8 +64,7 @@ def resolve(spec: str) -> FunctionSpec:
     if name == "poly":
         if not values:
             raise UnknownFunctionError("poly requires at least one coefficient")
-        p = PolynomialCoefficients(STANDARD, values)
-        return FunctionSpec(f"poly:{params}", lambda x: eval_scalar(p, x))
+        return FunctionSpec(f"poly:{params}", PolynomialCoefficients(STANDARD, values))
     default, build = _ONE_PARAMETER[name]
     if not values and default is None:
         raise UnknownFunctionError(f"{name} requires a parameter")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import PolynomialCoefficients
+from .chebyshev import PolynomialCoefficients, function_values
 from .operators import DenseSymmetric, SymmetricOperator
 from .quadform import combine, evaluator_basis, lookup, matvec_count
 
@@ -123,10 +123,7 @@ def _sample_stddev(values) -> float:
 
 
 def exact_trace_f(A: DenseSymmetric, f) -> float:
-    """Sum of f over all eigenvalues, via full symmetric eigendecomposition.
-
-    Verification oracle for desk-scale matrices; not meant for production
-    sizes.
-    """
-    eigs = np.linalg.eigvalsh(A.entries)
-    return float(sum(float(f(lam)) for lam in eigs))
+    """Sum of f over all eigenvalues, via full symmetric eigendecomposition: the
+    ``np.sum`` of ``function_values`` (a non-finite f is a ValueError), as a result
+    document's ``exact_trace``. Verification oracle for desk-scale matrices."""
+    return float(np.sum(function_values(f, np.linalg.eigvalsh(A.entries), "eigenvalue")))

@@ -86,8 +86,8 @@ class DenseSymmetric(SymmetricOperator):
 
 def _scale(values, diagonal, lo, hi):
     """Set the flat entries ``values``, whose diagonal ``diagonal`` indexes, to
-    (2 a_ij - (lo + hi) delta_ij) / (hi - lo), computed in that order;
-    ValueError when an entry is not finite."""
+    (2 a_ij - (lo + hi) delta_ij) / (hi - lo), computed in that order, as
+    ``Interval.to_canonical`` maps a point; ValueError when an entry is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         shift, width = lo + hi, hi - lo
         values *= 2.0

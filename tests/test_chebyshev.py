@@ -156,6 +156,13 @@ class TestEvalScalar:
     def test_constant_polynomial(self):
         assert eval_scalar(PolynomialCoefficients(CHEBYSHEV, [4.0]), 0.7) == 4.0
 
+    @pytest.mark.parametrize("basis, interval", [(STANDARD, Interval(-1.0, 1.0)),
+                                                 (CHEBYSHEV, Interval(-3.0, 7.5))])
+    def test_array_call_is_eval_scalar_at_each_point(self, basis, interval):
+        p = PolynomialCoefficients(basis, np.random.default_rng(0).standard_normal(13), interval)
+        xs = np.linspace(interval.lo - 1.0, interval.hi + 1.0, 101)
+        assert p(xs).tobytes() == np.array([eval_scalar(p, x) for x in xs]).tobytes()
+
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(c=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
                       max_size=30),

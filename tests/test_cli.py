@@ -15,9 +15,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import twosided
 from twosided import bench
 from twosided.bench import reproduce_config
-from twosided.chebyshev import load_coefficients
+from twosided.chebyshev import Interval, interpolate, load_coefficients
 from twosided.cli import main
 from twosided.functions import resolve
+from twosided.hutchinson import exact_trace_f
 from twosided.operators import random_symmetric
 
 
@@ -379,9 +380,16 @@ class TestEstimateCommand:
                 "--probes", "5", "--out", str(out))
         assert run(*args) == 0
         doc = json.loads(out.read_text())
-        eigs = np.linalg.eigvalsh(random_symmetric(30, 7).entries)
+        A = random_symmetric(30, 7)
+        eigs = np.linalg.eigvalsh(A.entries)
         assert doc["exact_trace"] == pytest.approx(np.sum(np.exp(0.3 * eigs)), rel=1e-13)
         assert doc["polynomial_trace"] == pytest.approx(doc["exact_trace"], rel=1e-12)
+        # bit for bit: the oracle's sum of f, and the interpolant summed over the eigenvalues
+        f = resolve("exp_scaled:0.3").fn
+        assert doc["exact_trace"] == exact_trace_f(A, f)
+        cheb = interpolate(f, 20, Interval(doc["spectral_interval"]["lo"],
+                                           doc["spectral_interval"]["hi"]))
+        assert doc["polynomial_trace"] == float(np.sum(cheb(eigs)))
         assert run(*args, "--interval=-20,20") == 0
         doc = json.loads(out.read_text())
         assert doc["exact_trace"] is None and doc["polynomial_trace"] is None
@@ -390,8 +398,15 @@ class TestEstimateCommand:
         out = tmp_path / "r.json"
         args = ("estimate", "--synthetic", "300", "--degree", "4", "--probes", "2",
                 "--out", str(out))
+        # degree 4 is far too low for exp_scaled:10 on this spectrum, and the
+        # interpolant's Chebyshev tail says so where no eigenvalues are known
+        def warned():
+            return [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+
         assert run(*args, "--interval", "power") == 0
-        assert "warning" not in capsys.readouterr().err
+        lines = warned()
+        assert len(lines) == 1 and "interpolant" in lines[0]
         doc = json.loads(out.read_text())
         assert doc["spectral_interval"]["converged"] is True
 
@@ -399,18 +414,16 @@ class TestEstimateCommand:
         monkeypatch.setattr(bench, "estimate_interval",
                             lambda op, **kw: estimate_interval(op, **{**kw, "iters": 2}))
         assert run(*args, "--interval", "power") == 0
-        warnings = [line for line in capsys.readouterr().err.splitlines()
-                    if line.startswith("warning:")]
-        assert len(warnings) == 1 and "did not converge" in warnings[0]
+        lines = warned()
+        assert len(lines) == 2 and "did not converge" in lines[0] and "interpolant" in lines[1]
         doc = json.loads(out.read_text())
         assert doc["spectral_interval"]["converged"] is False
         assert doc["spectral_interval"]["matvecs"] == 2
         assert doc["exact_trace"] is None and doc["polynomial_trace"] is None
         assert run(*args, "--interval", "exact") == 0
-        # no Lanczos warning; degree 4 is far too low for exp_scaled:10 on this spectrum
-        warned = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("warning:")]
-        assert len(warned) == 1 and "interpolant" in warned[0]
+        # no Lanczos warning; the measured error, not the tail, judges an exact run
+        lines = warned()
+        assert len(lines) == 1 and "misses tr f(A)" in lines[0]
 
     def test_inaccurate_interpolant_warns(self, tmp_path, capsys):
         # exp_scaled:10 at degree 20 on the spectrum of a d = 300 matrix, about [-24.5, 23.9]
@@ -425,21 +438,50 @@ class TestEstimateCommand:
                   if line.startswith("warning:")]
         assert len(warned) == 1 and "degree-20 interpolant" in warned[0]
 
-    @pytest.mark.parametrize("interval", ["exact", "power", "-40,40"])
-    def test_accurate_interpolant_is_silent(self, tmp_path, capsys, interval):
-        # the small-many benchmark workload's arguments
+    # the small-many benchmark workload's arguments
+    SMALL_MANY = ("--synthetic", "200", "--seed", "3", "--function", "exp_scaled:0.5",
+                  "--degree", "20", "--probes", "10", "--evaluators",
+                  "one_sided_standard,two_sided_standard,one_sided_chebyshev,two_sided_chebyshev",
+                  "--terms")
+
+    @pytest.mark.parametrize("args", [
+        SMALL_MANY + ("--interval", "exact"),
+        SMALL_MANY + ("--interval", "power"),
+        SMALL_MANY + ("--interval", "-20,20"),
+        # f is a polynomial of the degree: its degree-2n interpolant has no tail
+        ("--synthetic", "30", "--function", "identity", "--degree", "1",
+         "--interval", "power", "--probes", "5"),
+        ("--synthetic", "30", "--function", "poly:1,0,1", "--degree", "2",
+         "--interval", "power", "--probes", "5"),
+    ], ids=["exact", "power", "-20,20", "identity-power", "poly-power"])
+    def test_accurate_interpolant_is_silent(self, tmp_path, capsys, args):
         out = tmp_path / "r.json"
-        assert run("estimate", "--synthetic", "200", "--seed", "3",
-                   "--function", "exp_scaled:0.5", "--degree", "20", "--probes", "10",
-                   "--evaluators", "one_sided_standard,two_sided_standard,"
-                   "one_sided_chebyshev,two_sided_chebyshev",
-                   "--interval", interval, "--terms", "--out", str(out)) == 0
+        assert run("estimate", *args, "--out", str(out)) == 0
         assert "warning" not in capsys.readouterr().err
-        error = json.loads(out.read_text())["interpolation_relative_error"]
-        if interval == "exact":
+        doc = json.loads(out.read_text())
+        assert 0 <= doc["interpolation_tail"] < 1e-6
+        error = doc["interpolation_relative_error"]
+        if "exact" in args:
             assert 0 <= error < 1e-6
         else:
             assert error is None
+
+    @pytest.mark.parametrize("args", [
+        # small-many's arguments on a user interval: p misses tr f(A) by 18.7%
+        SMALL_MANY + ("--interval", "-40,40"),
+        # exp_scaled:10 at degree 20 on a d = 300 spectrum, about [-24.5, 23.9]
+        ("--synthetic", "300", "--interval", "power", "--probes", "10"),
+    ], ids=["-40,40", "power"])
+    def test_inaccurate_interpolant_tail_warns(self, tmp_path, capsys, args):
+        out = tmp_path / "r.json"
+        assert run("estimate", *args, "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["interpolation_relative_error"] is None
+        assert doc["interpolation_tail"] > 1e-6
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning:")]
+        assert len(warned) == 1 and "degree-20 interpolant may miss f" in warned[0]
+        assert f"sum to {doc['interpolation_tail']:.3g} of its largest" in warned[0]
 
     def test_matrix_overflowing_its_scaling_is_validation_error(self, tmp_path, capsys):
         # entries near the largest double: the interval [-5e307, 1e308] is finite,

@@ -262,6 +262,8 @@ def test_stored_scaling_is_the_affine_map(op, lo, width, seed):
     # the sparse copy's entries are the dense copy's, bit for bit
     assert (S.to_dense().entries.tobytes()
             == op.to_dense().scaled(iv.lo, iv.hi).entries.tobytes())
+    # each diagonal entry, stored or not, is the interval's map of a_ii, bit for bit
+    assert np.diag(S.to_dense().entries).tobytes() == iv.to_canonical(op.diagonal()).tobytes()
 
 
 def test_stored_sparse_scaling_inserts_missing_diagonal():
