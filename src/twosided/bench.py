@@ -146,6 +146,13 @@ def _check_moments(interval: SpectralInterval, name: str, moments: np.ndarray):
             f"mu_0 = z.z = {float(moments[i, 0]):.6g}, which no spectrum inside it allows")
 
 
+def _rounding_floor(coeffs: PolynomialCoefficients, dim: int) -> float:
+    """(n+1) u dim sum_k |alpha_k|, u = 2**-53: about how far rounding can move a
+    probe's sum_k alpha_k mu_k when every |mu_k| <= mu_0 = dim, as on a scaled
+    operator."""
+    return (coeffs.degree + 1) * 2.0**-53 * dim * float(np.sum(np.abs(coeffs.coeffs)))
+
+
 def _probe_checksum(seq: ProbeSequence, m: int) -> str:
     h = hashlib.sha256()
     for i in range(m):
@@ -162,43 +169,16 @@ def _max_rel_diff(a, b) -> float:
     return float(rel.max())
 
 
-def _paired_run(op, interval, coeffs_by_name, m: int, probe_seed: int, terms: bool):
-    """Run every evaluator over the same m probes of ``op`` scaled by ``interval``;
-    return per-evaluator records, pairwise comparisons and the probe checksum.
-    The checksum makes every probe, before and outside the evaluators' timers;
-    the evaluators then draw the stored probes. An evaluator's moments, then its
-    statistics, are checked when it returns, outside its timer."""
-    op = op.scaled(interval.lo, interval.hi)
-    seq = ProbeSequence(probe_seed, op.dim)
-    checksum = _probe_checksum(seq, m)
-    records = {}
-    estimates = {}
-    for name, coeffs in coeffs_by_name.items():
-        counter = CountingOperator(op)
-        t0 = time.perf_counter()
-        est = estimate_trace(counter, coeffs, name, m, seq)
-        elapsed = time.perf_counter() - t0
-        _check_moments(interval, name, est.moments)
-        if not all(map(math.isfinite, [est.mean, est.sample_stddev or 0.0, *est.probe_values])):
-            raise ValueError(f"{name} overflows double precision on this matrix (mean="
-                             f"{est.mean!r}, sample_stddev={est.sample_stddev!r})")
-        records[name] = {
-            "mean": est.mean,
-            "sample_stddev": est.sample_stddev,
-            "m": m,
-            "total_matvecs": counter.count,
-            "probe_values": est.probe_values,
-            "wall_time_seconds": elapsed,
-        }
-        estimates[name] = est
-
+def _comparisons(coeffs_by_name, estimates, terms: bool) -> dict:
+    """Pairwise agreement of the evaluators' means and probe values, and, with
+    ``terms``, of the terms alpha_k mu_k of evaluators that share a basis."""
     comparisons = {}
-    names = list(coeffs_by_name)
+    names = list(estimates)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             comp = {
-                "aggregate_relative_difference": _max_rel_diff([records[a]["mean"]],
-                                                               [records[b]["mean"]]),
+                "aggregate_relative_difference": _max_rel_diff([estimates[a].mean],
+                                                               [estimates[b].mean]),
                 "max_per_probe_relative_difference": _max_rel_diff(
                     estimates[a].probe_values, estimates[b].probe_values),
             }
@@ -206,7 +186,7 @@ def _paired_run(op, interval, coeffs_by_name, m: int, probe_seed: int, terms: bo
                 ta, tb = (coeffs_by_name[k].coeffs * estimates[k].moments for k in (a, b))
                 comp.update(_term_comparison(ta, tb))
             comparisons[f"{a}|{b}"] = comp
-    return records, comparisons, checksum
+    return comparisons
 
 
 def _term_comparison(terms_a, terms_b):
@@ -234,7 +214,9 @@ def run_estimate(cfg: BenchConfig) -> dict:
     too coarse for the estimate to stand for tr f(A). Every document holds
     ``interpolation_tail``, sum_{k>n} |beta_k| / max_k |beta_k| over the
     degree-2n interpolant beta of f on the interval (Trefethen, *ATAP*, ch. 8):
-    the same verdict where no eigenvalues are known."""
+    the same verdict where no eigenvalues are known. Each evaluator's record holds
+    its ``rounding_floor``; above :data:`INTERPOLATION_TOLERANCE` of |mean|,
+    rounding alone may account for the estimate."""
     fspec, user_interval = cfg.validate()
     if cfg.matrix_path is not None:
         op = load_matrix_market(cfg.matrix_path)
@@ -257,12 +239,36 @@ def run_estimate(cfg: BenchConfig) -> dict:
             # when f is, and then the plain difference is reported
             scale, diff = float(np.sum(np.abs(fv))), abs(polynomial_trace - exact_trace)
             interpolation_error = diff / scale if scale > 0 else diff
-        records, comparisons, checksum = _paired_run(
-            op, interval, coeffs_by_name, cfg.probes, cfg.seed, cfg.terms)
+        # nothing reads the unscaled operator past here: the scaled copy alone stays
+        dim, op = op.dim, op.scaled(interval.lo, interval.hi)
+        # the checksum makes every probe outside the evaluators' timers, which reuse them
+        seq = ProbeSequence(cfg.seed, dim)
+        checksum = _probe_checksum(seq, cfg.probes)
+        records, estimates = {}, {}
+        for name, coeffs in coeffs_by_name.items():
+            counter = CountingOperator(op)
+            t0 = time.perf_counter()
+            est = estimate_trace(counter, coeffs, name, cfg.probes, seq)
+            elapsed = time.perf_counter() - t0
+            _check_moments(interval, name, est.moments)
+            if not all(map(math.isfinite, [est.mean, est.sample_stddev or 0.0,
+                                           *est.probe_values])):
+                raise ValueError(f"{name} overflows double precision on this matrix (mean="
+                                 f"{est.mean!r}, sample_stddev={est.sample_stddev!r})")
+            records[name] = {
+                "mean": est.mean,
+                "sample_stddev": est.sample_stddev,
+                "m": cfg.probes,
+                "total_matvecs": counter.count,
+                "probe_values": est.probe_values,
+                "wall_time_seconds": elapsed,
+                "rounding_floor": _rounding_floor(coeffs, dim),
+            }
+            estimates[name] = est
     return {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.as_dict(),
-        "dim": op.dim,
+        "dim": dim,
         "function": fspec.label,
         "spectral_interval": {**asdict(interval), "source": interval_source},
         "exact_trace": exact_trace,
@@ -271,7 +277,7 @@ def run_estimate(cfg: BenchConfig) -> dict:
         "interpolation_tail": tail,
         "probe_checksum": checksum,
         "evaluators": records,
-        "comparisons": comparisons,
+        "comparisons": _comparisons(coeffs_by_name, estimates, cfg.terms),
     }
 
 
@@ -291,6 +297,12 @@ def result_warnings(doc: dict):
                f"interpolant's coefficients past degree {n} sum to {tail:.3g} of its largest "
                f"(tolerance {INTERPOLATION_TOLERANCE:g}); the estimates are of the polynomial "
                "trace, raise --degree")
+    for name, rec in doc["evaluators"].items():
+        if rec["rounding_floor"] > INTERPOLATION_TOLERANCE * abs(rec["mean"]):
+            yield (f"warning: {name}'s rounding floor {rec['rounding_floor']:.3g} exceeds "
+                   f"{INTERPOLATION_TOLERANCE:g} of |mean| = {abs(rec['mean']):.3g}; the "
+                   "estimate may be rounding error, narrow --interval or lower --degree")
+            break
 
 
 def write_result(doc: dict, path):

@@ -18,7 +18,8 @@ import numpy as np
 
 from .bench import BenchConfig, ConfigError, reproduce_config, result_warnings, run_estimate, \
     write_probe_csv, write_result
-from .chebyshev import Interval, function_values, interpolate, save_coefficients
+from .chebyshev import Interval, PolynomialCoefficients, function_values, interpolate, \
+    save_coefficients
 from .functions import resolve
 from .quadform import EVALUATORS, lookup, matvec_count
 
@@ -44,13 +45,15 @@ def cmd_interpolate(func_spec, degree, interval, out):
     except ValueError as exc:
         raise click.UsageError(str(exc)) from None
     p = interpolate(fspec.fn, degree, domain)
-    grid = np.linspace(domain.lo, domain.hi, 1000)
-    fv = function_values(fspec.fn, grid, "grid point")
+    # the grid is mapped from [-1, 1], where the series is summed, so the width
+    # hi - lo, which may overflow, is never formed
+    t = np.linspace(-1.0, 1.0, 1000)
+    fv = function_values(fspec.fn, domain.from_canonical(t), "grid point")
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.max(np.abs(p(grid) - fv))
+        residual = np.max(np.abs(PolynomialCoefficients(p.basis, p.coeffs)(t) - fv))
     if not np.isfinite(residual):
         raise ValueError(f"evaluating the degree-{degree} interpolant on the 1000-point grid "
-                         "overflows double precision")
+                         f"overflows double precision on [{domain.lo!r}, {domain.hi!r}]")
     save_coefficients(p, out)
     click.echo(f"wrote {degree + 1} coefficients to {out}")
     click.echo(f"max interpolation residual on 1000-point grid: {residual:.6e}")
@@ -97,22 +100,19 @@ def cmd_estimate(matrix_path, synthetic_dim, seed, func_spec, degree, probes,
 
 
 @cli.command("reproduce")
-@click.option("--full", is_flag=True, help="Run at dimension 5000 (slow, memory heavy).")
-@click.option("--dim", type=int, default=200, show_default=True,
-              help="Desk-scale dimension (ignored with --full).")
+@click.option("--dim", type=int, default=200, show_default=True, help="Desk-scale dimension.")
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--degree", type=int, default=20, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Optional JSON report path.")
-def cmd_reproduce(full, dim, trials, degree, out):
+def cmd_reproduce(dim, trials, degree, out):
     """Paired Chebyshev run of tr exp(10 A / sqrt(2 dim)) on a seeded random matrix."""
-    d = 5000 if full else dim
-    if d < 50:
+    if dim < 50:
         raise click.UsageError("desk-scale dimension must be >= 50")
-    cfg = reproduce_config(d, trials, degree)
+    cfg = reproduce_config(dim, trials, degree)
     doc = run_estimate(cfg)
     for line in result_warnings(doc):
         click.echo(line, err=True)
-    click.echo(f"dimension {d}, degree {degree}, {trials} trials, f = {doc['function']}")
+    click.echo(f"dimension {dim}, degree {degree}, {trials} trials, f = {doc['function']}")
     click.echo(f"exact trace f(A):        {doc['exact_trace']:.6e}")
     click.echo(f"polynomial trace p(A):   {doc['polynomial_trace']:.6e}")
     for name, rec in doc["evaluators"].items():

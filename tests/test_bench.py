@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twosided import bench
 from twosided.bench import (MOMENT_TOLERANCE, _SMALL_TERM_CUTOFF, _check_moments, _max_rel_diff,
                             _term_comparison)
 from twosided.spectrum import SpectralInterval
@@ -87,3 +90,24 @@ def test_moments_above_mu_0_disprove_the_interval():
         with pytest.raises(ValueError, match=rf"^interval \[-1.0, 1.0\] does not contain the "
                                              rf"spectrum: ev probe 1 has \|mu_{k}\|"):
             _check_moments(interval, "ev", bad)
+
+
+@pytest.mark.parametrize("interval", ["power", "-100,100"])
+def test_only_the_scaled_matrix_is_resident_while_the_probes_run(monkeypatch, interval):
+    d = 1000
+    held = []
+    estimate_trace = bench.estimate_trace
+
+    def spy(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return estimate_trace(*args)
+
+    monkeypatch.setattr(bench, "estimate_trace", spy)
+    tracemalloc.start()
+    try:
+        bench.run_estimate(bench.BenchConfig(synthetic_dim=d, probes=2,
+                                             function="exp_scaled:0.1", interval=interval))
+    finally:
+        tracemalloc.stop()
+    # the scaled d x d copy, plus vectors; the unscaled matrix is gone
+    assert held[0] <= 1.25 * 8 * d * d

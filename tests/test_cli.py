@@ -98,6 +98,16 @@ class TestInterpolateCommand:
         assert (f"max interpolation residual on 1000-point grid: {residual:.6e}"
                 in capsys.readouterr().out.splitlines())
 
+    def test_interval_whose_width_overflows(self, tmp_path, capsys):
+        # hi - lo = 2e308 is not a double; the grid is mapped from [-1, 1] without it
+        out = tmp_path / "c.json"
+        assert run("interpolate", "--function", "identity", "--degree", "3",
+                   "--interval=-1e308,1e308", "--out", str(out)) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("max interpolation residual on 1000-point grid: ")
+        assert float(last.rsplit(" ", 1)[1]) <= 1e-12 * 1e308
+        assert load_coefficients(out).interval == Interval(-1e308, 1e308)
+
 
 @pytest.mark.parametrize("args, where", [
     (("interpolate", "--function", "exp_scaled:1000", "--degree", "4"),
@@ -465,6 +475,39 @@ class TestEstimateCommand:
             assert 0 <= error < 1e-6
         else:
             assert error is None
+
+    def test_rounding_floor_above_the_estimate_warns(self, tmp_path, capsys):
+        # identity on [-1e200, 1e200]: the FFT leaves alpha_0 a rounding residue of
+        # about u 1e200, and every probe carries d alpha_0, where tr A = 1.06
+        out = tmp_path / "r.json"
+        assert run("estimate", "--synthetic", "10", "--interval=-1e200,1e200",
+                   "--function", "identity", "--probes", "5", "--out", str(out)) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning:")]
+        assert len(warned) == 1 and "one_sided_chebyshev's rounding floor" in warned[0]
+        records = json.loads(out.read_text())["evaluators"]
+        assert set(records) == {"one_sided_chebyshev", "two_sided_chebyshev"}
+        for rec in records.values():
+            assert rec["rounding_floor"] > bench.INTERPOLATION_TOLERANCE * abs(rec["mean"])
+
+    @pytest.mark.parametrize("degree, warns", [("80", True), ("60", False)])
+    def test_standard_coefficients_rounding_floor(self, tmp_path, capsys, degree, warns):
+        # cheb2poly's coefficients grow like 2^n: the standard routes' floor is 32 times
+        # the mean at n = 80 and 2.4e-7 of it at n = 60; the Chebyshev routes' is 2e-13
+        args = list(self.SMALL_MANY)
+        args[args.index("--degree") + 1] = degree
+        out = tmp_path / "r.json"
+        assert run("estimate", *args, "--out", str(out)) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning:")]
+        if warns:
+            assert len(warned) == 1 and "one_sided_standard's rounding floor" in warned[0]
+        else:
+            assert warned == []
+        records = json.loads(out.read_text())["evaluators"]
+        for name, rec in records.items():
+            above = rec["rounding_floor"] > bench.INTERPOLATION_TOLERANCE * abs(rec["mean"])
+            assert above == (warns and "standard" in name)
 
     @pytest.mark.parametrize("args", [
         # small-many's arguments on a user interval: p misses tr f(A) by 18.7%
