@@ -4,7 +4,7 @@ exact-trace oracle."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,21 +29,23 @@ class ProbeSequence:
     sign bits of every probe made are kept, d/8 bytes each, so a repeated
     index is unpacked rather than generated again; each call returns a new
     array. The seed is 64 bits, so one outside [0, 2**64) is a ValueError
-    rather than another seed's probes.
+    rather than another seed's probes. Seed, dim and index are integers
+    (``operator.index``): a float is a TypeError, not truncated to another
+    sequence or probe.
     """
 
     def __init__(self, seed: int, dim: int):
-        seed = int(seed)
+        seed = operator.index(seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"probe seed must be in [0, 2**64), got {seed}")
         self.seed = seed
-        self.dim = int(dim)
+        self.dim = operator.index(dim)
         self._bits = {}
 
     def vector(self, i: int) -> np.ndarray:
+        i = operator.index(i)
         if i < 0:
             raise ValueError(f"probe index must be non-negative, got {i}")
-        i = int(i)
         bits = self._bits.get(i)
         if bits is None:
             rng = np.random.default_rng(np.random.SeedSequence([self.seed, i]))
@@ -78,9 +80,9 @@ def estimate_trace(op: SymmetricOperator, coeffs: PolynomialCoefficients,
     ``seed`` is an integer probe seed, or a :class:`ProbeSequence` of the
     operator's dimension to draw probes 0..m-1 from, so that several
     estimates can share the probes it has made.
-    Probes may be evaluated in parallel (``max_workers > 1``); results are
-    reduced in probe-index order either way, so the estimate is a pure
-    function of the arguments.
+    Probes are evaluated in index order on the calling thread, and the values
+    are summed in that order, so the estimate is a pure function of the
+    arguments. ``max_workers`` is accepted and has no effect.
     """
     if m < 1:
         raise ValueError(f"number of probes must be >= 1, got m={m}")
@@ -92,16 +94,7 @@ def estimate_trace(op: SymmetricOperator, coeffs: PolynomialCoefficients,
     if seq.dim != op.dim:
         raise ValueError(f"probe sequence of dimension {seq.dim} for an operator of "
                          f"dimension {op.dim}")
-
-    def probe(i):
-        return ev(op, seq.vector(i), coeffs.degree)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            moments = np.array(list(pool.map(probe, range(m))))
-    else:
-        moments = np.array([probe(i) for i in range(m)])
-
+    moments = np.array([ev(op, seq.vector(i), coeffs.degree) for i in range(m)])
     values = combine(coeffs, moments).tolist()
     total = 0.0
     for v in values:

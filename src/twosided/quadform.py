@@ -118,11 +118,15 @@ def combine(coeffs: PolynomialCoefficients, moments):
 
 
 def evaluator_basis(name: str) -> str:
-    """The coefficient basis the evaluator called ``name`` requires."""
+    """The coefficient basis the evaluator called ``name`` requires; ValueError
+    naming the choices if there is none."""
+    lookup(name)
     return CHEBYSHEV if name.endswith("chebyshev") else STANDARD
 
 
 def matvec_count(name: str, degree: int) -> int:
     """Matvecs the evaluator called ``name`` spends on a degree-``degree``
-    polynomial: n one-sided, ceil(n/2) two-sided."""
+    polynomial: n one-sided, ceil(n/2) two-sided; ValueError naming the
+    choices if there is no such evaluator."""
+    lookup(name)
     return degree if name.startswith("one_sided") else (degree + 1) // 2

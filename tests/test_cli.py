@@ -243,6 +243,16 @@ class TestEstimateCommand:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_import_never_loads_concurrent_futures(self):
+        # probes run on the calling thread; a fresh interpreter, since pytest
+        # itself may have imported concurrent.futures into this one
+        code = ("import sys, twosided, twosided.cli\n"
+                "assert 'concurrent.futures' not in sys.modules\n")
+        src = str(Path(twosided.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_text_files_are_utf8_whatever_the_locale(self, tmp_path):
         # warn_default_encoding warns at every open() that leaves the encoding to the locale
         mtx = tmp_path / "accents.mtx"

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -43,6 +44,18 @@ class TestRademacher:
         # masking to 64 bits would alias -1 to 2**64 - 1 and 2**64 to 0
         with pytest.raises(ValueError, match=f"got {seed}$"):
             ProbeSequence(seed, 50)
+
+    def test_seed_dim_and_index_are_integers(self):
+        seq = ProbeSequence(np.uint64(1), np.int64(6))
+        assert (type(seq.seed), type(seq.dim)) == (int, int)
+        assert np.array_equal(seq.vector(np.int32(2)), ProbeSequence(1, 6).vector(2))
+        # int() would truncate: index 2.7 to probe 2, seed 1.9 to seed 1, dim 6.9 to 6
+        with pytest.raises(TypeError):
+            seq.vector(2.7)
+        with pytest.raises(TypeError):
+            ProbeSequence(1.9, 6)
+        with pytest.raises(TypeError):
+            ProbeSequence(1, 6.9)
 
     def test_largest_seed_keeps_its_stream(self):
         seed = 2**64 - 1
@@ -198,6 +211,19 @@ class TestEstimateTrace:
         assert serial.mean == parallel.mean
         assert serial.probe_values == parallel.probe_values
         assert serial.total_matvecs == parallel.total_matvecs
+
+    def test_probes_run_on_the_calling_thread(self, monkeypatch):
+        op = random_symmetric(40, 6)
+        p = interpolate(lambda x: math.exp(2 * x), 10)
+        serial = estimate_trace(op, p, "two_sided_chebyshev", m=24, seed=11)
+
+        def refuse(thread):
+            raise AssertionError("estimate_trace started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        pooled = estimate_trace(op, p, "two_sided_chebyshev", m=24, seed=11, max_workers=8)
+        assert pooled.probe_values == serial.probe_values
+        assert np.array_equal(pooled.moments, serial.moments)
 
     def test_invalid_m(self):
         op = random_symmetric(5, 0)

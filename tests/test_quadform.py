@@ -11,9 +11,9 @@ from twosided.chebyshev import (CHEBYSHEV, STANDARD, PolynomialCoefficients,
                                 eval_scalar, interpolate)
 from twosided.hutchinson import ProbeSequence, estimate_trace
 from twosided.operators import CountingOperator, DenseSymmetric, random_symmetric
-from twosided.quadform import (EVALUATORS, combine, matvec_count, one_sided_chebyshev,
-                               one_sided_standard, two_sided_chebyshev,
-                               two_sided_standard)
+from twosided.quadform import (EVALUATORS, combine, evaluator_basis, matvec_count,
+                               one_sided_chebyshev, one_sided_standard,
+                               two_sided_chebyshev, two_sided_standard)
 
 
 def std(coeffs):
@@ -270,6 +270,14 @@ class TestErrors:
         with pytest.raises(ValueError, match="requires chebyshev-basis"):
             estimate_trace(op, std([1.0, 1.0]), "two_sided_chebyshev", 1, seq)
         assert not seq._bits   # rejected before any probe was drawn
+
+    def test_matvec_count_of_an_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown evaluator 'bogus'; choose from "):
+            matvec_count("bogus", 20)
+
+    def test_basis_of_an_unknown_name(self):
+        with pytest.raises(ValueError, match="unknown evaluator 'two_sided_chebyshev '; "):
+            evaluator_basis("two_sided_chebyshev ")
 
     def test_dimension_mismatch(self):
         op = random_symmetric(4, 0)
