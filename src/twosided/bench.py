@@ -239,10 +239,9 @@ def run_estimate(cfg: BenchConfig) -> dict:
             # when f is, and then the plain difference is reported
             scale, diff = float(np.sum(np.abs(fv))), abs(polynomial_trace - exact_trace)
             interpolation_error = diff / scale if scale > 0 else diff
-        # nothing reads the unscaled operator past here: the scaled copy alone stays
-        dim, op = op.dim, op.scaled(interval.lo, interval.hi)
+        op = op.into_scaled(interval.lo, interval.hi)
         # the checksum makes every probe outside the evaluators' timers, which reuse them
-        seq = ProbeSequence(cfg.seed, dim)
+        seq = ProbeSequence(cfg.seed, op.dim)
         checksum = _probe_checksum(seq, cfg.probes)
         records, estimates = {}, {}
         for name, coeffs in coeffs_by_name.items():
@@ -262,13 +261,13 @@ def run_estimate(cfg: BenchConfig) -> dict:
                 "total_matvecs": counter.count,
                 "probe_values": est.probe_values,
                 "wall_time_seconds": elapsed,
-                "rounding_floor": _rounding_floor(coeffs, dim),
+                "rounding_floor": _rounding_floor(coeffs, op.dim),
             }
             estimates[name] = est
     return {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.as_dict(),
-        "dim": dim,
+        "dim": op.dim,
         "function": fspec.label,
         "spectral_interval": {**asdict(interval), "source": interval_source},
         "exact_trace": exact_trace,

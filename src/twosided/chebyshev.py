@@ -74,7 +74,9 @@ class PolynomialCoefficients:
     Calling it evaluates the series at a point or an array: numpy's ``polyval``
     (Horner) for the standard basis, ``chebval`` (Clenshaw) at
     ``interval.to_canonical(x)`` for the Chebyshev basis, whose interval records
-    where the basis lives (evaluation outside it amounts to extrapolation)."""
+    where the basis lives (evaluation outside it amounts to extrapolation).
+    Standard coefficients are always of x itself, so their interval must be
+    [-1, 1]."""
 
     basis: str
     coeffs: np.ndarray
@@ -83,6 +85,9 @@ class PolynomialCoefficients:
     def __post_init__(self):
         if self.basis not in (STANDARD, CHEBYSHEV):
             raise ValueError(f"unknown basis {self.basis!r}")
+        if self.basis == STANDARD and (self.interval.lo, self.interval.hi) != (-1.0, 1.0):
+            raise ValueError(f"standard-basis coefficients are of x itself, so their interval "
+                             f"must be [-1.0, 1.0], got [{self.interval.lo!r}, {self.interval.hi!r}]")
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-d sequence")

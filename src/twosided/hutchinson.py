@@ -29,7 +29,8 @@ class ProbeSequence:
     sign bits of every probe made are kept, d/8 bytes each, so a repeated
     index is unpacked rather than generated again; each call returns a new
     array. The seed is 64 bits, so one outside [0, 2**64) is a ValueError
-    rather than another seed's probes. Seed, dim and index are integers
+    rather than another seed's probes, and a negative dim is a ValueError
+    when the sequence is made. Seed, dim and index are integers
     (``operator.index``): a float is a TypeError, not truncated to another
     sequence or probe.
     """
@@ -38,8 +39,11 @@ class ProbeSequence:
         seed = operator.index(seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"probe seed must be in [0, 2**64), got {seed}")
+        dim = operator.index(dim)
+        if dim < 0:
+            raise ValueError(f"probe dimension must be non-negative, got {dim}")
         self.seed = seed
-        self.dim = operator.index(dim)
+        self.dim = dim
         self._bits = {}
 
     def vector(self, i: int) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Symmetric linear operators: dense and sparse storage, a matvec-counting
 wrapper, seeded random matrix generation, and Matrix Market ingestion.
 
-All operators are immutable after construction and expose ``matvec``; the
-matvec count is the cost unit everything else in this package is measured
-in. The two storage classes also give ``diagonal``, ``to_dense`` and
-``scaled``, the stored copy mapped onto [-1, 1] that the Chebyshev
-evaluators run on. A Matrix Market file is opened, read and split into
+Operators expose ``matvec``; the matvec count is the cost unit everything
+else in this package is measured in. The two storage classes also give
+``diagonal``, ``to_dense`` and ``scaled``, the stored copy mapped onto
+[-1, 1] that the Chebyshev evaluators run on. Operators are immutable after
+construction, with one exception: ``into_scaled`` maps a dense operator onto
+[-1, 1] in its own storage. It is for the code that built the operator,
+once nothing needs it unscaled, as ``bench.run_estimate`` does with the
+matrix it acquired. A Matrix Market file is opened, read and split into
 lines once; the bulk parser and the line-by-line reader both work on those
 lines.
 """
@@ -78,14 +81,26 @@ class DenseSymmetric(SymmetricOperator):
         return self
 
     def scaled(self, lo: float, hi: float) -> DenseSymmetric:
-        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1]."""
-        values = self.entries.copy()
-        _scale(values.reshape(-1), slice(None, None, self.dim + 1), lo, hi)
-        return DenseSymmetric(values)
+        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1]: a
+        new operator, built by ``into_scaled`` on a copy of the entries; this
+        one is left unchanged."""
+        return DenseSymmetric(self.entries.copy()).into_scaled(lo, hi)
+
+    def into_scaled(self, lo: float, hi: float) -> DenseSymmetric:
+        """This operator, its entries overwritten with ``scaled(lo, hi)``'s, so
+        no second d x d array is made. The entries are read-only again on
+        return, and also after the ValueError of an entry that overflows,
+        which leaves them scaled and not all finite."""
+        self.entries.setflags(write=True)
+        try:
+            _scale(self.entries, np.diag_indices(self.dim), lo, hi)
+        finally:
+            self.entries.setflags(write=False)
+        return self
 
 
 def _scale(values, diagonal, lo, hi):
-    """Set the flat entries ``values``, whose diagonal ``diagonal`` indexes, to
+    """Set the entries ``values``, whose diagonal ``diagonal`` indexes, to
     (2 a_ij - (lo + hi) delta_ij) / (hi - lo), computed in that order, as
     ``Interval.to_canonical`` maps a point; ValueError when an entry is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -196,6 +211,9 @@ class SparseSymmetric(SymmetricOperator):
         data = np.insert(self.data, at[missing], 0.0)
         _scale(data, np.searchsorted(keys, diagonal), lo, hi)
         return SparseSymmetric._from_keys(self.dim, keys, data)
+
+    # a row without a stored diagonal entry gains one, so the storage is copied
+    into_scaled = scaled
 
 
 class CountingOperator(SymmetricOperator):

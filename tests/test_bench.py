@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from twosided import bench
 from twosided.bench import (MOMENT_TOLERANCE, _SMALL_TERM_CUTOFF, _check_moments, _max_rel_diff,
                             _term_comparison)
+from twosided.operators import load_matrix_market, random_symmetric
 from twosided.spectrum import SpectralInterval
 
 
@@ -111,3 +112,70 @@ def test_only_the_scaled_matrix_is_resident_while_the_probes_run(monkeypatch, in
         tracemalloc.stop()
     # the scaled d x d copy, plus vectors; the unscaled matrix is gone
     assert held[0] <= 1.25 * 8 * d * d
+
+
+@pytest.mark.parametrize("interval", ["exact", "power", "-100,100"])
+def test_a_dense_run_peaks_at_one_matrix(interval):
+    # a small run first imports the modules numpy loads on first use (random, fft,
+    # polynomial), which are not the run's memory
+    config = bench.BenchConfig(synthetic_dim=10, probes=2, function="exp_scaled:0.1",
+                               interval=interval)
+    bench.run_estimate(config)
+    d = config.synthetic_dim = 1000
+    tracemalloc.start()
+    try:
+        bench.run_estimate(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the operator's own entries are scaled, so no second d x d array is made;
+    # tracemalloc does not see eigvalsh's LAPACK work copy
+    assert peak <= 1.25 * 8 * d * d
+
+
+def capture(monkeypatch, acquire):
+    """Lists that fill with the operators ``bench.<acquire>`` returns and with
+    those the evaluators run on."""
+    made, ran = [], []
+    original, estimate_trace = getattr(bench, acquire), bench.estimate_trace
+
+    def acquiring(*args):
+        made.append(original(*args))
+        return made[-1]
+
+    def evaluating(counter, *args):
+        ran.append(counter.inner)
+        return estimate_trace(counter, *args)
+
+    monkeypatch.setattr(bench, acquire, acquiring)
+    monkeypatch.setattr(bench, "estimate_trace", evaluating)
+    return made, ran
+
+
+def assert_scaled_in_place(doc, made, ran, unscaled):
+    (op,) = made
+    assert len(ran) == 2 and all(r is op for r in ran)
+    iv = doc["spectral_interval"]
+    assert op.entries.tobytes() == unscaled.scaled(iv["lo"], iv["hi"]).entries.tobytes()
+    assert not op.entries.flags.writeable
+
+
+@pytest.mark.parametrize("interval", ["exact", "power", "-100,100"])
+def test_the_evaluators_run_on_the_acquired_matrix_scaled_in_place(monkeypatch, interval):
+    made, ran = capture(monkeypatch, "random_symmetric")
+    doc = bench.run_estimate(bench.BenchConfig(synthetic_dim=60, seed=5, probes=3,
+                                               function="exp_scaled:0.1", interval=interval))
+    assert_scaled_in_place(doc, made, ran, random_symmetric(60, 5))
+
+
+@pytest.mark.parametrize("text", [
+    "%%MatrixMarket matrix array real symmetric\n3 3\n2.0\n-1.0\n0.0\n2.0\n-1.0\n2.0\n",
+    "%%MatrixMarket matrix array real general\n3 3\n"
+    "4.0\n1.0\n0.5\n1.0\n3.0\n-1.0\n0.5\n-1.0\n2.0\n",
+], ids=["symmetric", "general"])
+def test_an_array_file_is_scaled_in_place(monkeypatch, tmp_path, text):
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text(text)
+    made, ran = capture(monkeypatch, "load_matrix_market")
+    doc = bench.run_estimate(bench.BenchConfig(matrix_path=str(mtx), probes=3))
+    assert_scaled_in_place(doc, made, ran, load_matrix_market(mtx))

@@ -276,3 +276,13 @@ class TestValidation:
 
     def test_degree(self):
         assert PolynomialCoefficients(STANDARD, [1.0, 0.0, 2.0]).degree == 2
+
+    def test_standard_basis_interval_is_canonical(self, tmp_path):
+        # standard coefficients are of x itself: p(1.0) == 1.0 whatever the interval says
+        with pytest.raises(ValueError, match=r"must be \[-1.0, 1.0\], got \[0.0, 2.0\]$"):
+            PolynomialCoefficients(STANDARD, [0.0, 1.0], Interval(0.0, 2.0))
+        assert PolynomialCoefficients(STANDARD, [0.0, 1.0], Interval(-1, 1))(1.0) == 1.0
+        path = tmp_path / "coeffs.json"
+        path.write_text('{"basis": "standard", "interval": [0.0, 2.0], "coefficients": [0.0, 1.0]}')
+        with pytest.raises(ValueError, match="standard-basis coefficients"):
+            load_coefficients(path)

@@ -536,12 +536,18 @@ class TestEstimateCommand:
         assert len(warned) == 1 and "degree-20 interpolant may miss f" in warned[0]
         assert f"sum to {doc['interpolation_tail']:.3g} of its largest" in warned[0]
 
-    def test_matrix_overflowing_its_scaling_is_validation_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "3 3 4\n1 1 1.0e308\n2 2 -5.0e307\n3 3 1.0e307\n2 1 1.0e300\n",
+        # the same matrix stored dense, which is scaled in its own entries
+        "%%MatrixMarket matrix array real symmetric\n"
+        "3 3\n1.0e308\n1.0e300\n0.0\n-5.0e307\n0.0\n1.0e307\n",
+    ], ids=["coordinate", "array"])
+    def test_matrix_overflowing_its_scaling_is_validation_error(self, tmp_path, capsys, text):
         # entries near the largest double: the interval [-5e307, 1e308] is finite,
         # but 2 a_11 = 2e308 is not
         mtx = tmp_path / "big.mtx"
-        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
-                       "3 3 4\n1 1 1.0e308\n2 2 -5.0e307\n3 3 1.0e307\n2 1 1.0e300\n")
+        mtx.write_text(text)
         out = tmp_path / "r.json"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

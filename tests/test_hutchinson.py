@@ -39,6 +39,11 @@ class TestRademacher:
         with pytest.raises(ValueError):
             ProbeSequence(0, 4).vector(-1)
 
+    def test_negative_dimension_rejected(self):
+        # when the sequence is made, not at its first vector
+        with pytest.raises(ValueError, match="probe dimension must be non-negative, got -3$"):
+            ProbeSequence(1, -3)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_rejected(self, seed):
         # masking to 64 bits would alias -1 to 2**64 - 1 and 2**64 to 0

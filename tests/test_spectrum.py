@@ -281,6 +281,31 @@ def test_stored_scaling_overflow_is_value_error():
         op.scaled(-5e307, 1e308)
 
 
+def stored_bytes(op):
+    if isinstance(op, DenseSymmetric):
+        return [op.entries.tobytes()]
+    return [op.indptr.tobytes(), op.indices.tobytes(), op.data.tobytes()]
+
+
+@pytest.mark.parametrize("op", [
+    random_symmetric(30, 4),
+    # row 1 stores no diagonal entry, so the scaled copy gains one
+    SparseSymmetric.from_coo(3, [0, 0, 1, 2], [0, 1, 0, 2], [4.0, 1.0, 1.0, -2.0]),
+], ids=["dense", "sparse"])
+def test_scaled_leaves_its_source_unchanged(op):
+    before = stored_bytes(op)
+    S = op.scaled(-3.0, 5.0)
+    assert S is not op and type(S) is type(op)
+    assert stored_bytes(op) == before
+
+
+def test_failed_in_place_scaling_leaves_the_entries_read_only():
+    op = DenseSymmetric(np.diag([1e308, -5e307]))
+    with pytest.raises(ValueError, match="overflows double precision"):
+        op.into_scaled(-5e307, 1e308)
+    assert not op.entries.flags.writeable
+
+
 def test_function_composition_consistency():
     # interpolating f composed with the inverse scaling map and applying the
     # result to the scaled operator estimates trace f(A)
