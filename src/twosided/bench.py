@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass
 
@@ -25,7 +26,7 @@ import numpy as np
 from .chebyshev import CHEBYSHEV, STANDARD, PolynomialCoefficients, function_values, interpolate
 from .functions import resolve
 from .hutchinson import ProbeSequence, estimate_trace
-from .operators import CountingOperator, load_matrix_market, random_symmetric
+from .operators import load_matrix_market, random_symmetric
 from .quadform import evaluator_basis, lookup
 from .spectrum import SpectralInterval, enclosing, estimate_interval
 
@@ -46,6 +47,17 @@ class ConfigError(ValueError):
     """An invalid ``estimate`` configuration, found before any work starts."""
 
 
+def _integer(field: str, value) -> int:
+    """``value`` read with ``operator.index``, so numpy integers pass; a bool or
+    a non-integer is a ConfigError naming ``field``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{field} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class BenchConfig:
     """Configuration for one ``estimate`` run."""
@@ -63,9 +75,14 @@ class BenchConfig:
     def validate(self):
         """Raise ConfigError naming the first invalid setting; return the
         resolved :class:`~twosided.functions.FunctionSpec` and the user's
-        'lo,hi' interval, which is None for 'exact' and 'power'."""
+        'lo,hi' interval, which is None for 'exact' and 'power'. The integer
+        settings are stored back as ints, so the document records plain numbers."""
         if (self.matrix_path is None) == (self.synthetic_dim is None):
             raise ConfigError("give exactly one of a matrix file or a synthetic dimension")
+        if self.synthetic_dim is not None:
+            self.synthetic_dim = _integer("synthetic_dim", self.synthetic_dim)
+        self.seed, self.degree, self.probes = (
+            _integer(field, getattr(self, field)) for field in ("seed", "degree", "probes"))
         if self.synthetic_dim is not None and self.synthetic_dim < 1:
             raise ConfigError("synthetic dimension must be >= 1")
         if self.seed < 0:
@@ -245,9 +262,8 @@ def run_estimate(cfg: BenchConfig) -> dict:
         checksum = _probe_checksum(seq, cfg.probes)
         records, estimates = {}, {}
         for name, coeffs in coeffs_by_name.items():
-            counter = CountingOperator(op)
             t0 = time.perf_counter()
-            est = estimate_trace(counter, coeffs, name, cfg.probes, seq)
+            est = estimate_trace(op, coeffs, name, cfg.probes, seq)
             elapsed = time.perf_counter() - t0
             _check_moments(interval, name, est.moments)
             if not all(map(math.isfinite, [est.mean, est.sample_stddev or 0.0,
@@ -258,12 +274,17 @@ def run_estimate(cfg: BenchConfig) -> dict:
                 "mean": est.mean,
                 "sample_stddev": est.sample_stddev,
                 "m": cfg.probes,
-                "total_matvecs": counter.count,
+                "total_matvecs": est.total_matvecs,
                 "probe_values": est.probe_values,
                 "wall_time_seconds": elapsed,
                 "rounding_floor": _rounding_floor(coeffs, op.dim),
             }
             estimates[name] = est
+    for quantity, value in (("tr f(A)", exact_trace), ("tr p(A)", polynomial_trace),
+                            ("the interpolation error", interpolation_error)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{quantity} is not finite in double precision ({value!r}) for the "
+                             f"degree-{cfg.degree} interpolant on [{interval.lo!r}, {interval.hi!r}]")
     return {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.as_dict(),

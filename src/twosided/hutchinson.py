@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import PolynomialCoefficients, function_values
-from .operators import DenseSymmetric, SymmetricOperator
-from .quadform import combine, evaluator_basis, lookup, matvec_count
+from .operators import CountingOperator, DenseSymmetric, SymmetricOperator
+from .quadform import combine, evaluator_basis, lookup
 
 __all__ = [
     "ProbeSequence",
@@ -61,9 +61,9 @@ class ProbeSequence:
 class TraceEstimate:
     """Aggregate of m Hutchinson probes.
 
-    ``mean`` is the probe values summed in index order divided by m;
-    ``sample_stddev`` uses the m-1 denominator and is None for m = 1.
-    Row i of the (m, n+1) ``moments`` array is probe i's mu_0..mu_n.
+    ``mean`` is the probe values summed in index order divided by m; ``sample_stddev`` uses
+    the m-1 denominator and is None for m = 1. Row i of the (m, n+1) ``moments`` array is
+    probe i's mu_0..mu_n. ``total_matvecs`` is measured: the matvecs the m probes spent.
     """
 
     mean: float
@@ -75,18 +75,17 @@ class TraceEstimate:
 
 
 def estimate_trace(op: SymmetricOperator, coeffs: PolynomialCoefficients,
-                   evaluator: str, m: int, seed,
-                   max_workers: int | None = None) -> TraceEstimate:
+                   evaluator: str, m: int, seed) -> TraceEstimate:
     """Hutchinson estimate of trace p(A) using ``m`` probes.
 
     ``evaluator`` names one of :data:`twosided.quadform.EVALUATORS`, called
-    once per probe; :func:`~twosided.quadform.combine` weights its moments.
+    once per probe on ``op`` wrapped in a :class:`~twosided.operators.CountingOperator`,
+    whose count is ``total_matvecs``; :func:`~twosided.quadform.combine` weights its moments.
     ``seed`` is an integer probe seed, or a :class:`ProbeSequence` of the
     operator's dimension to draw probes 0..m-1 from, so that several
     estimates can share the probes it has made.
     Probes are evaluated in index order on the calling thread, and the values
-    are summed in that order, so the estimate is a pure function of the
-    arguments. ``max_workers`` is accepted and has no effect.
+    are summed in that order, so the estimate is a pure function of the arguments.
     """
     if m < 1:
         raise ValueError(f"number of probes must be >= 1, got m={m}")
@@ -98,14 +97,14 @@ def estimate_trace(op: SymmetricOperator, coeffs: PolynomialCoefficients,
     if seq.dim != op.dim:
         raise ValueError(f"probe sequence of dimension {seq.dim} for an operator of "
                          f"dimension {op.dim}")
-    moments = np.array([ev(op, seq.vector(i), coeffs.degree) for i in range(m)])
+    counter = CountingOperator(op)
+    moments = np.array([ev(counter, seq.vector(i), coeffs.degree) for i in range(m)])
     values = combine(coeffs, moments).tolist()
     total = 0.0
     for v in values:
         total += v
     stddev = _sample_stddev(values) if m > 1 else None
-    return TraceEstimate(total / m, stddev, m, m * matvec_count(evaluator, coeffs.degree),
-                         values, moments)
+    return TraceEstimate(total / m, stddev, m, counter.count, values, moments)
 
 
 def _sample_stddev(values) -> float:

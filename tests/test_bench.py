@@ -1,12 +1,16 @@
+import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twosided import bench
+from twosided import bench, quadform
 from twosided.bench import (MOMENT_TOLERANCE, _SMALL_TERM_CUTOFF, _check_moments, _max_rel_diff,
                             _term_comparison)
+from twosided.chebyshev import interpolate
+from twosided.hutchinson import estimate_trace
 from twosided.operators import load_matrix_market, random_symmetric
 from twosided.spectrum import SpectralInterval
 
@@ -143,9 +147,9 @@ def capture(monkeypatch, acquire):
         made.append(original(*args))
         return made[-1]
 
-    def evaluating(counter, *args):
-        ran.append(counter.inner)
-        return estimate_trace(counter, *args)
+    def evaluating(op, *args):
+        ran.append(op)
+        return estimate_trace(op, *args)
 
     monkeypatch.setattr(bench, acquire, acquiring)
     monkeypatch.setattr(bench, "estimate_trace", evaluating)
@@ -179,3 +183,45 @@ def test_an_array_file_is_scaled_in_place(monkeypatch, tmp_path, text):
     made, ran = capture(monkeypatch, "load_matrix_market")
     doc = bench.run_estimate(bench.BenchConfig(matrix_path=str(mtx), probes=3))
     assert_scaled_in_place(doc, made, ran, load_matrix_market(mtx))
+
+
+def test_total_matvecs_are_the_matvecs_spent(monkeypatch):
+    # an evaluator that spends one matvec more per probe than the formula says
+    two_sided = quadform.EVALUATORS["two_sided_chebyshev"]
+
+    def spending(op, z, degree):
+        op.matvec(z)
+        return two_sided(op, z, degree)
+
+    monkeypatch.setitem(quadform.EVALUATORS, "two_sided_chebyshev", spending)
+    m, n = 9, 13
+    est = estimate_trace(random_symmetric(30, 1), interpolate(math.exp, n),
+                         "two_sided_chebyshev", m, 0)
+    assert est.total_matvecs == m * ((n + 1) // 2 + 1)
+    doc = bench.run_estimate(bench.BenchConfig(
+        synthetic_dim=30, seed=1, function="exp_scaled:0.1", degree=n, probes=m,
+        evaluators=("two_sided_chebyshev",)))
+    assert doc["evaluators"]["two_sided_chebyshev"]["total_matvecs"] == m * ((n + 1) // 2 + 1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("synthetic_dim", 30.0), ("synthetic_dim", True),
+    ("seed", 1.5), ("seed", True),
+    ("degree", 2.5), ("degree", True),
+    ("probes", 3.0), ("probes", True),
+])
+def test_integer_settings_must_be_integers(field, value):
+    cfg = bench.BenchConfig(**{"synthetic_dim": 30, field: value})
+    with pytest.raises(bench.ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+        cfg.validate()
+
+
+def test_numpy_integer_settings_are_stored_as_ints():
+    cfg = bench.BenchConfig(synthetic_dim=np.int64(20), seed=np.uint64(3), degree=np.int32(4),
+                            probes=np.int8(2), function="exp_scaled:0.1")
+    doc = bench.run_estimate(cfg)
+    config = json.loads(json.dumps(doc))["config"]
+    for field in ("synthetic_dim", "seed", "degree", "probes"):
+        assert type(getattr(cfg, field)) is int
+    assert (config["synthetic_dim"], config["seed"], config["degree"], config["probes"]) == \
+        (20, 3, 4, 2)

@@ -588,6 +588,20 @@ class TestEstimateCommand:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_polynomial_trace_overflowing_is_validation_error(tmp_path, capsys, fmt):
+    # every probe value is finite (about 1.65e307) and tr f(A) is 1.0e307, but
+    # tr p(A) summed over the eigenvalues overflows
+    out = tmp_path / f"r.{fmt}"
+    assert run("estimate", "--synthetic", "50", "--function", "exp_scaled:73.16873945953775",
+               "--probes", "3", "--format", fmt, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "error: tr p(A) is not finite in double precision (inf) for the degree-20 " \
+           "interpolant on [" in err
+    assert "JSON compliant" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (("interpolate", "--function", "exp_scaled:709", "--degree", "20"),
      "evaluating the degree-20 interpolant on the 1000-point grid overflows double precision"),

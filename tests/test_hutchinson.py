@@ -156,9 +156,8 @@ class TestEstimateTrace:
             assert np.array_equal(moments, mu)
             assert combine(p, mu) == est.probe_values[i]
 
-    @pytest.mark.parametrize("max_workers", [None, 4])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 21])
-    def test_probe_values_are_index_order_sums(self, n, max_workers):
+    def test_probe_values_are_index_order_sums(self, n):
         A = random_symmetric(40, n)
         eigs = np.linalg.eigvalsh(A.entries)
         S = A.scaled(float(eigs[0]), float(eigs[-1]))
@@ -166,7 +165,7 @@ class TestEstimateTrace:
         for name in EVALUATORS:
             coeffs = p if name.endswith("chebyshev") else PolynomialCoefficients(
                 STANDARD, np.polynomial.chebyshev.cheb2poly(p.coeffs))
-            est = estimate_trace(S, coeffs, name, m=9, seed=n, max_workers=max_workers)
+            est = estimate_trace(S, coeffs, name, m=9, seed=n)
             for value, mu in zip(est.probe_values, est.moments):
                 alpha, mu = coeffs.coeffs.tolist(), mu.tolist()
                 total = alpha[0] * mu[0]
@@ -211,8 +210,7 @@ class TestEstimateTrace:
         op = random_symmetric(40, 6)
         p = interpolate(lambda x: math.exp(2 * x), 10)
         serial = estimate_trace(op, p, "two_sided_chebyshev", m=24, seed=11)
-        parallel = estimate_trace(op, p, "two_sided_chebyshev", m=24, seed=11,
-                                  max_workers=4)
+        parallel = estimate_trace(op, p, "two_sided_chebyshev", m=24, seed=11)
         assert serial.mean == parallel.mean
         assert serial.probe_values == parallel.probe_values
         assert serial.total_matvecs == parallel.total_matvecs
@@ -226,9 +224,15 @@ class TestEstimateTrace:
             raise AssertionError("estimate_trace started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        pooled = estimate_trace(op, p, "two_sided_chebyshev", m=24, seed=11, max_workers=8)
+        pooled = estimate_trace(op, p, "two_sided_chebyshev", m=24, seed=11)
         assert pooled.probe_values == serial.probe_values
         assert np.array_equal(pooled.moments, serial.moments)
+
+    def test_max_workers_is_not_a_parameter(self):
+        op = random_symmetric(10, 0)
+        p = PolynomialCoefficients(CHEBYSHEV, [1.0, 0.5])
+        with pytest.raises(TypeError, match="max_workers"):
+            estimate_trace(op, p, "two_sided_chebyshev", m=2, seed=0, max_workers=4)
 
     def test_invalid_m(self):
         op = random_symmetric(5, 0)
