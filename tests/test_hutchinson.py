@@ -156,8 +156,11 @@ class TestEstimateTrace:
             assert np.array_equal(moments, mu)
             assert combine(p, mu) == est.probe_values[i]
 
+    @pytest.mark.parametrize("prefix", [None, 4])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 20, 21])
-    def test_probe_values_are_index_order_sums(self, n):
+    def test_probe_values_are_index_order_sums(self, n, prefix):
+        # prefix None checks a 9-probe run; an integer checks a run of that
+        # many probes, whose values must lead the 9-probe run's
         A = random_symmetric(40, n)
         eigs = np.linalg.eigvalsh(A.entries)
         S = A.scaled(float(eigs[0]), float(eigs[-1]))
@@ -166,6 +169,11 @@ class TestEstimateTrace:
             coeffs = p if name.endswith("chebyshev") else PolynomialCoefficients(
                 STANDARD, np.polynomial.chebyshev.cheb2poly(p.coeffs))
             est = estimate_trace(S, coeffs, name, m=9, seed=n)
+            if prefix is not None:
+                full = est
+                est = estimate_trace(S, coeffs, name, m=prefix, seed=n)
+                assert est.probe_values == full.probe_values[:prefix], (name, n)
+                assert np.array_equal(est.moments, full.moments[:prefix]), (name, n)
             for value, mu in zip(est.probe_values, est.moments):
                 alpha, mu = coeffs.coeffs.tolist(), mu.tolist()
                 total = alpha[0] * mu[0]
