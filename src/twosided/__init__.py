@@ -7,7 +7,7 @@ estimation, spectral scaling, and a benchmark CLI.
 """
 
 from .chebyshev import (CHEBYSHEV, STANDARD, Interval, PolynomialCoefficients,
-                        chebyshev_nodes, eval_scalar, interpolate,
+                        chebyshev_nodes, interpolate,
                         load_coefficients, save_coefficients)
 from .hutchinson import ProbeSequence, TraceEstimate, estimate_trace, exact_trace_f
 from .operators import (CountingOperator, DenseSymmetric, SparseSymmetric,
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHEBYSHEV", "STANDARD", "Interval", "PolynomialCoefficients",
-    "chebyshev_nodes", "eval_scalar", "interpolate",
+    "chebyshev_nodes", "interpolate",
     "load_coefficients", "save_coefficients",
     "ProbeSequence", "TraceEstimate", "estimate_trace", "exact_trace_f",
     "CountingOperator", "DenseSymmetric", "SparseSymmetric",

@@ -1,5 +1,6 @@
-"""Benchmark orchestration: matrix acquisition, spectral scaling, paired
-evaluator runs over a shared probe sequence, and structured result documents.
+"""Benchmark orchestration: matrix acquisition, spectral scaling, one
+``estimate_trace`` call per selected evaluator over a shared probe sequence,
+and structured result documents.
 
 One :class:`~twosided.spectrum.SpectralInterval` serves the whole run: f is
 interpolated on it, the operator is scaled by it, and the document records it.
@@ -18,6 +19,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -58,6 +60,18 @@ def _integer(field: str, value) -> int:
         raise ConfigError(f"{field} must be an integer, got {value!r}") from None
 
 
+def _path(value) -> str:
+    """``value`` read with ``os.fspath``; anything but a str path is a
+    ConfigError, so a file descriptor is never opened as the matrix."""
+    try:
+        path = os.fspath(value)
+    except TypeError:
+        path = None
+    if not isinstance(path, str):
+        raise ConfigError(f"matrix_path must be a str or os.PathLike path, got {value!r}")
+    return path
+
+
 @dataclass
 class BenchConfig:
     """Configuration for one ``estimate`` run."""
@@ -74,15 +88,28 @@ class BenchConfig:
 
     def validate(self):
         """Raise ConfigError naming the first invalid setting; return the
-        resolved :class:`~twosided.functions.FunctionSpec` and the user's
-        'lo,hi' interval, which is None for 'exact' and 'power'. The integer
-        settings are stored back as ints, so the document records plain numbers."""
+        resolved :class:`~twosided.functions.FunctionSpec` and the interval,
+        'exact', 'power' or the user's parsed :class:`~twosided.spectrum.SpectralInterval`.
+        Settings are stored back as plain types (a str path, ints, a tuple of
+        names, a bool), so the document records plain JSON."""
         if (self.matrix_path is None) == (self.synthetic_dim is None):
             raise ConfigError("give exactly one of a matrix file or a synthetic dimension")
-        if self.synthetic_dim is not None:
+        if self.matrix_path is not None:
+            self.matrix_path = _path(self.matrix_path)
+        else:
             self.synthetic_dim = _integer("synthetic_dim", self.synthetic_dim)
         self.seed, self.degree, self.probes = (
             _integer(field, getattr(self, field)) for field in ("seed", "degree", "probes"))
+        for field in ("function", "interval"):
+            if not isinstance(getattr(self, field), str):
+                raise ConfigError(f"{field} must be a str, got {getattr(self, field)!r}")
+        if not (isinstance(self.evaluators, (list, tuple))
+                and all(isinstance(name, str) for name in self.evaluators)):
+            raise ConfigError(f"evaluators must be a list or tuple of str, got {self.evaluators!r}")
+        self.evaluators = tuple(self.evaluators)
+        if not isinstance(self.terms, (bool, np.bool_)):
+            raise ConfigError(f"terms must be a bool, got {self.terms!r}")
+        self.terms = bool(self.terms)
         if self.synthetic_dim is not None and self.synthetic_dim < 1:
             raise ConfigError("synthetic dimension must be >= 1")
         if self.seed < 0:
@@ -101,7 +128,7 @@ class BenchConfig:
             if not self.evaluators:
                 raise ValueError("at least one evaluator must be selected")
             fspec = resolve(self.function)
-            interval = (None if self.interval in ("exact", "power")
+            interval = (self.interval if self.interval in ("exact", "power")
                         else SpectralInterval.parse(self.interval))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -119,13 +146,13 @@ def reproduce_config(dim: int, trials: int, degree: int) -> BenchConfig:
                        degree=degree, probes=trials, interval="exact", terms=True)
 
 
-def _resolve_interval(op, spec: str, interval, seed: int):
+def _resolve_interval(op, interval, seed: int):
     """The spectral interval, its source, and the eigenvalues when exact;
-    ``interval`` is the user's 'lo,hi', None for 'exact' and 'power'."""
-    if spec == "exact":
+    ``interval`` is what :meth:`BenchConfig.validate` returns for it."""
+    if interval == "exact":
         eigs = np.linalg.eigvalsh(op.to_dense().entries)
         return enclosing(float(eigs[0]), float(eigs[-1])), "exact", eigs
-    if spec == "power":
+    if interval == "power":
         return estimate_interval(op, seed=seed), "power", None
     # a_ii = e_i^T A e_i is a Rayleigh quotient, so it lies in [lambda_min, lambda_max]
     diag = op.diagonal()
@@ -234,12 +261,12 @@ def run_estimate(cfg: BenchConfig) -> dict:
     the same verdict where no eigenvalues are known. Each evaluator's record holds
     its ``rounding_floor``; above :data:`INTERPOLATION_TOLERANCE` of |mean|,
     rounding alone may account for the estimate."""
-    fspec, user_interval = cfg.validate()
+    fspec, interval = cfg.validate()
     if cfg.matrix_path is not None:
         op = load_matrix_market(cfg.matrix_path)
     else:
         op = random_symmetric(cfg.synthetic_dim, cfg.seed)
-    interval, interval_source, eigs = _resolve_interval(op, cfg.interval, user_interval, cfg.seed)
+    interval, interval_source, eigs = _resolve_interval(op, interval, cfg.seed)
     cheb = interpolate(fspec.fn, cfg.degree, interval)
     beta = np.abs(interpolate(fspec.fn, 2 * cfg.degree, interval).coeffs)
     top = float(np.max(beta))
@@ -303,9 +330,10 @@ def run_estimate(cfg: BenchConfig) -> dict:
 
 def result_warnings(doc: dict):
     """Yield the stderr warning lines of a result document outside its contract."""
-    if not doc["spectral_interval"]["converged"]:
-        yield ("warning: the Lanczos spectral interval did not converge; it rests on its 1% "
-               "safety margin and may not contain the spectrum")
+    interval = doc["spectral_interval"]
+    if not interval["converged"]:
+        yield (f"warning: the Lanczos spectral interval did not converge; it rests on its "
+               f"{interval['safety']:.0%} safety margin and may not contain the spectrum")
     n, error, tail = (doc["config"]["degree"], doc["interpolation_relative_error"],
                       doc["interpolation_tail"])
     if error is not None and error > INTERPOLATION_TOLERANCE:

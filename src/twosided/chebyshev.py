@@ -1,6 +1,6 @@
 """Chebyshev polynomials of the first kind: nodes, interpolation by one real
 FFT, interval transforms, coefficient file I/O, and the package's one series
-evaluator, a callable :class:`PolynomialCoefficients` (``eval_scalar`` is its float).
+evaluator, a callable :class:`PolynomialCoefficients`.
 
 :class:`Interval` [lo, hi] carries the affine maps onto and from [-1, 1];
 :class:`twosided.spectrum.SpectralInterval` is one, so ``estimate`` interpolates
@@ -22,7 +22,6 @@ __all__ = [
     "chebyshev_nodes",
     "interpolate",
     "function_values",
-    "eval_scalar",
     "save_coefficients",
     "load_coefficients",
 ]
@@ -147,11 +146,6 @@ def function_values(f, x, where: str = "node") -> np.ndarray:
         raise ValueError(f"f is undefined at {at}: it returns NaN" if math.isnan(fv[j])
                          else f"function value is not finite at {at}")
     return fv
-
-
-def eval_scalar(p: PolynomialCoefficients, x: float) -> float:
-    """p at the point x, as a float."""
-    return float(p(x))
 
 
 def save_coefficients(p: PolynomialCoefficients, path):

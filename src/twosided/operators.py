@@ -284,8 +284,9 @@ def load_matrix_market(path):
     """
     lines = _lines(path)
     fmt, symmetry, d, nnz, size_line_no = _read_header(iter(lines))
-    # on split lines loadtxt splits tokens at str.split's whitespace; outside
-    # ASCII it fails on digits that int and float accept, never misreads them
+    # non-ASCII data never reaches loadtxt: with the int64 triplet dtype it can
+    # crash the interpreter (SIGSEGV) on a token that begins with a high code
+    # point such as U+10FFFF; on ASCII lines it splits at str.split's whitespace
     if fmt == "coordinate" and all(map(str.isascii, itertools.islice(lines, size_line_no, None))):
         triplets = _parse_coordinate_bulk(lines, size_line_no, d, nnz)
         if triplets is not None:

@@ -10,7 +10,7 @@ import pytest
 
 from twosided.bench import BenchConfig, reproduce_config, run_estimate
 from twosided.chebyshev import (CHEBYSHEV, STANDARD, Interval, PolynomialCoefficients,
-                                chebyshev_nodes, eval_scalar, interpolate)
+                                chebyshev_nodes, interpolate)
 from twosided.functions import resolve
 from twosided.hutchinson import ProbeSequence, estimate_trace, exact_trace_f
 from twosided.operators import CountingOperator, DenseSymmetric, random_symmetric
@@ -49,7 +49,7 @@ def test_criterion_2_chebyshev_identity_suite():
         c[j] = 1.0
         return PolynomialCoefficients(CHEBYSHEV, c)
 
-    T = {j: np.array([eval_scalar(unit(j, j), x) for x in xs]) for j in range(26)}
+    T = {j: np.array([float(unit(j, j)(x)) for x in xs]) for j in range(26)}
     worst = 0.0
     for j in range(13):
         for k in range(13):
@@ -188,7 +188,7 @@ def test_criterion_7_estimator_correctness():
     op = DenseSymmetric(np.diag(lams))
     p = interpolate(lambda x: math.exp(10 * x), 20)
     est = estimate_trace(op, p, "two_sided_chebyshev", m=500, seed=12)
-    exact_poly = sum(eval_scalar(p, lam) for lam in lams)
+    exact_poly = sum(float(p(lam)) for lam in lams)
     # diagonal probes have zero variance; floor the band at the
     # serial-summation roundoff bound m*eps*|total|
     tol = 4 * est.sample_stddev / math.sqrt(500) + 500 * np.finfo(float).eps * abs(exact_poly)
@@ -221,7 +221,7 @@ def test_criterion_8_interpolation_quality():
     for j in range(2, n + 1):
         T0, T1 = T1, 2 * grid * T1 - T0
         oracle_vals += oracle[j] * T1
-    ours = np.array([eval_scalar(p, x) for x in grid])
+    ours = np.array([float(p(x)) for x in grid])
     sup_err = np.max(np.abs(ours - oracle_vals)) / np.max(np.abs(oracle_vals))
     assert sup_err <= 1e-10
 
@@ -232,7 +232,7 @@ def test_criterion_8_interpolation_quality():
         g = lambda x: np.polynomial.polynomial.polyval(x, c)
         q = interpolate(g, deg)
         xs = rng.uniform(-1, 1, 1000)
-        got = np.array([eval_scalar(q, x) for x in xs])
+        got = np.array([float(q(x)) for x in xs])
         want = g(xs)
         err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
         poly_worst = max(poly_worst, err)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -214,6 +215,47 @@ def test_integer_settings_must_be_integers(field, value):
     cfg = bench.BenchConfig(**{"synthetic_dim": 30, field: value})
     with pytest.raises(bench.ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("evaluators", "two_sided_chebyshev",
+     "evaluators must be a list or tuple of str, got 'two_sided_chebyshev'"),
+    ("evaluators", ("two_sided_chebyshev", 5), "evaluators must be a list or tuple of str"),
+    ("interval", 5, "interval must be a str, got 5"),
+    ("function", 5, "function must be a str, got 5"),
+    ("terms", "no", "terms must be a bool, got 'no'"),
+    ("matrix_path", 0, "matrix_path must be a str or os.PathLike path, got 0"),
+    ("matrix_path", 3, "matrix_path must be a str or os.PathLike path, got 3"),
+    ("matrix_path", b"m.mtx", "matrix_path must be a str or os.PathLike path, got b'm.mtx'"),
+], ids=["evaluators-str", "evaluators-non-str-name", "interval-int", "function-int", "terms-str",
+        "matrix_path-fd-0", "matrix_path-fd-3", "matrix_path-bytes"])
+def test_settings_of_the_wrong_type_are_config_errors(field, value, message):
+    # a matrix_path of 0 would otherwise be opened as file descriptor 0, stdin
+    cfg = (bench.BenchConfig(matrix_path=value) if field == "matrix_path"
+           else bench.BenchConfig(**{"synthetic_dim": 30, field: value}))
+    with pytest.raises(bench.ConfigError, match=f"^{re.escape(message)}"):
+        cfg.validate()
+
+
+def test_path_list_and_numpy_bool_settings_are_stored_as_plain_types(tmp_path):
+    mtx = tmp_path / "a.mtx"
+    mtx.write_text("%%MatrixMarket matrix array real symmetric\n2 2\n2.0\n0.5\n3.0\n")
+    cfg = bench.BenchConfig(matrix_path=mtx, probes=3, evaluators=["two_sided_chebyshev"],
+                            terms=np.bool_(True))
+    doc = bench.run_estimate(cfg)
+    assert (type(cfg.matrix_path), type(cfg.evaluators), type(cfg.terms)) == (str, tuple, bool)
+    config = json.loads(json.dumps(doc))["config"]
+    assert (config["matrix_path"], config["evaluators"], config["terms"]) == \
+        (str(mtx), ["two_sided_chebyshev"], True)
+
+
+def test_unconverged_interval_warning_names_the_documented_margin():
+    doc = {"spectral_interval": {"converged": False, "safety": 0.02},
+           "config": {"degree": 4}, "interpolation_relative_error": None,
+           "interpolation_tail": 0.0, "evaluators": {}}
+    assert list(bench.result_warnings(doc)) == [
+        "warning: the Lanczos spectral interval did not converge; it rests on its 2% safety "
+        "margin and may not contain the spectrum"]
 
 
 def test_numpy_integer_settings_are_stored_as_ints():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from twosided.chebyshev import (CHEBYSHEV, STANDARD, Interval,
                                 PolynomialCoefficients,
-                                chebyshev_nodes, eval_scalar, function_values,
+                                chebyshev_nodes, function_values,
                                 interpolate, load_coefficients, save_coefficients)
 from twosided.functions import resolve
 
@@ -22,8 +22,8 @@ def unit_cheb(j, degree=None):
 
 
 def cheb_table(degrees, xs):
-    """T_j(x) for j in degrees over xs, each entry via eval_scalar."""
-    return {j: np.array([eval_scalar(unit_cheb(j), x) for x in xs]) for j in degrees}
+    """T_j(x) for j in degrees over xs, each entry a float(p(x)) call."""
+    return {j: np.array([float(unit_cheb(j)(x)) for x in xs]) for j in degrees}
 
 
 class TestNodes:
@@ -76,7 +76,7 @@ class TestInterpolate:
         for j in range(2, n + 1):
             T0, T1 = T1, 2 * grid * T1 - T0
             vals += oracle[j] * T1
-        ours = np.array([eval_scalar(p, x) for x in grid])
+        ours = np.array([float(p(x)) for x in grid])
         assert np.max(np.abs(ours - vals)) <= 1e-10 * np.max(np.abs(vals))
 
     def test_nonfinite_value_names_node(self):
@@ -90,7 +90,7 @@ class TestInterpolate:
             f = lambda x: np.polynomial.polynomial.polyval(x, c)
             p = interpolate(f, n)
             xs = rng.uniform(-1, 1, 1000)
-            got = np.array([eval_scalar(p, x) for x in xs])
+            got = np.array([float(p(x)) for x in xs])
             want = f(xs)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -100,7 +100,7 @@ class TestInterpolate:
         p = interpolate(f, 12, iv)
         for t in chebyshev_nodes(12):
             x = iv.from_canonical(t)
-            assert abs(eval_scalar(p, x) - f(x)) <= 1e-12 * max(1.0, abs(f(x)))
+            assert abs(float(p(x)) - f(x)) <= 1e-12 * max(1.0, abs(f(x)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 200, 2000])
     def test_matches_the_exactly_reduced_cosine_sum(self, n):
@@ -139,29 +139,31 @@ class TestInterpolate:
 
 
 class TestEvalScalar:
+    """Scalar evaluation: float(p(x)), the callable coefficients at one point."""
+
     def test_t2_at_half(self):
-        assert eval_scalar(unit_cheb(2), 0.5) == pytest.approx(-0.5, abs=1e-15)
+        assert float(unit_cheb(2)(0.5)) == pytest.approx(-0.5, abs=1e-15)
 
     def test_standard_horner(self):
         p = PolynomialCoefficients(STANDARD, [1.0, 2.0, 3.0])
-        assert eval_scalar(p, 2.0) == 17.0
+        assert float(p(2.0)) == 17.0
 
     def test_t5_against_recurrence(self):
         x = 0.3
         t0, t1 = 1.0, x
         for _ in range(4):
             t0, t1 = t1, 2 * x * t1 - t0
-        assert abs(eval_scalar(unit_cheb(5), x) - t1) <= 1e-14
+        assert abs(float(unit_cheb(5)(x)) - t1) <= 1e-14
 
     def test_constant_polynomial(self):
-        assert eval_scalar(PolynomialCoefficients(CHEBYSHEV, [4.0]), 0.7) == 4.0
+        assert float(PolynomialCoefficients(CHEBYSHEV, [4.0])(0.7)) == 4.0
 
     @pytest.mark.parametrize("basis, interval", [(STANDARD, Interval(-1.0, 1.0)),
                                                  (CHEBYSHEV, Interval(-3.0, 7.5))])
     def test_array_call_is_eval_scalar_at_each_point(self, basis, interval):
         p = PolynomialCoefficients(basis, np.random.default_rng(0).standard_normal(13), interval)
         xs = np.linspace(interval.lo - 1.0, interval.hi + 1.0, 101)
-        assert p(xs).tobytes() == np.array([eval_scalar(p, x) for x in xs]).tobytes()
+        assert p(xs).tobytes() == np.array([float(p(x)) for x in xs]).tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=500)
     @given(c=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
@@ -177,7 +179,7 @@ class TestEvalScalar:
             r = 0.0
             for a in p.coeffs[::-1]:
                 r = r * x + a
-            assert repr(eval_scalar(p, x)) == repr(float(r))
+            assert repr(float(p(x))) == repr(float(r))
 
 
 class TestAffineMap:
@@ -233,7 +235,7 @@ class TestAffineMap:
 
 
 class TestIdentities:
-    """Product, even, and odd identities checked through eval_scalar."""
+    """Product, even, and odd identities checked through float(p(x))."""
 
     xs = np.random.default_rng(12).uniform(-1, 1, 1000)
 
@@ -273,6 +275,10 @@ class TestValidation:
     def test_nonfinite_coefficients(self):
         with pytest.raises(ValueError):
             PolynomialCoefficients(CHEBYSHEV, [1.0, float("nan")])
+
+    def test_empty_coefficients(self):
+        with pytest.raises(ValueError, match="^coefficients must be a non-empty 1-d sequence$"):
+            PolynomialCoefficients(CHEBYSHEV, [])
 
     def test_degree(self):
         assert PolynomialCoefficients(STANDARD, [1.0, 0.0, 2.0]).degree == 2

@@ -292,6 +292,25 @@ class TestEstimateCommand:
         assert run("estimate", "--matrix", str(tmp_path / "missing.mtx"),
                    "--out", str(tmp_path / "r.json")) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file"),
+        ("%%MatrixMarket matrix coordinate complex symmetric\n1 1 1\n1 1 1.0 0.0\n",
+         "line 1: only 'matrix ... real' files are supported"),
+        ("%%MatrixMarket matrix dense real symmetric\n1 1\n1.0\n",
+         "line 1: unsupported format 'dense'"),
+        ("%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 0\n",
+         "line 1: unsupported symmetry 'skew-symmetric'"),
+        ("%%MatrixMarket matrix coordinate real symmetric\n% only\n% comments\n",
+         "line 3: missing size line"),
+    ], ids=["empty", "complex", "dense", "skew-symmetric", "no-size-line"])
+    def test_unsupported_matrix_file_is_validation_error(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(text)
+        out = tmp_path / "r.json"
+        assert run("estimate", "--matrix", str(bad), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_empty_size_line_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
         bad.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
@@ -731,6 +750,25 @@ class TestMatvecCountCommand:
         assert capsys.readouterr().out.split() == [
             "one_sided_chebyshev:", "1000000", "one_sided_standard:", "1000000",
             "two_sided_chebyshev:", "500000", "two_sided_standard:", "500000"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("estimate", "--synthetic", "0"), "synthetic dimension must be >= 1"),
+    (("estimate", "--synthetic", "10", "--evaluators", ","),
+     "at least one evaluator must be selected"),
+    (("interpolate", "--function", "identity", "--degree", "0"), "degree must be >= 1"),
+    (("matvec-count", "--degree", "-1"), "degree must be >= 0"),
+    (("matvec-count", "--degree", "3", "--evaluator", "bogus"), "unknown evaluator 'bogus'; "
+     "choose from one_sided_chebyshev, one_sided_standard, two_sided_chebyshev, "
+     "two_sided_standard"),
+], ids=["estimate-synthetic-0", "estimate-no-evaluator", "interpolate-degree-0",
+        "matvec-count-degree-minus-1", "matvec-count-unknown-evaluator"])
+def test_option_out_of_range_is_usage_error(tmp_path, capsys, args, message):
+    out = tmp_path / "r.json"
+    extra = ("--out", str(out)) if args[0] != "matvec-count" else ()
+    assert run(*args, *extra) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
 
 
 def test_no_subcommand_is_usage_error():

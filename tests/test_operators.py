@@ -101,6 +101,18 @@ def test_sparse_rejects_bad_indptr():
         SparseSymmetric(2, [0, 2, 1], [0, 1], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: DenseSymmetric(np.zeros((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+    (lambda: SparseSymmetric(2, [0, 2], [0, 1], [1.0, 1.0]), r"indptr must have length dim \+ 1"),
+    (lambda: SparseSymmetric(2, [0, 1, 2], [0, 1], [1.0]),
+     "indices and data must have equal length"),
+    (lambda: SparseSymmetric(2, [0, 1, 2], [0, 2], [1.0, 1.0]), "column index out of range"),
+], ids=["dense-not-square", "short-indptr", "indices-data-lengths", "column-index"])
+def test_malformed_storage_is_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 @pytest.mark.parametrize("row, col", [(2, 0), (0, 2), (-1, 0), (1, -1)])
 def test_from_coo_rejects_out_of_range_index(row, col):
     # a row-major key would alias (0, 2) to (1, 0) without this check
@@ -583,11 +595,13 @@ _SYMMETRIC_3X3 = "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 2.
     ("99999999999999999999 1 0.5", "\n", False,
      "line 4: index (99999999999999999999,1) out of range for dimension 3"),
     ("2 1\x0c0.5", "\n", False, "expected 3 coordinate entries, found 4"),
+    ("\U0010ffff2 1 0.5", "\n", False, "line 4: non-numeric token '\\U0010ffff2'"),
 ])
 def test_bulk_parse_agrees_with_line_by_line(tmp_path, monkeypatch, line, newline,
                                               parsed_in_bulk, result):
     path = tmp_path / "q.mtx"
-    path.write_text(_SYMMETRIC_3X3.format(line).replace("\n", newline), newline="")
+    path.write_text(_SYMMETRIC_3X3.format(line).replace("\n", newline), encoding="utf-8",
+                    newline="")
     by_line = operators._load_by_line
     fallbacks = []
     monkeypatch.setattr(operators, "_load_by_line", lambda p: fallbacks.append(p) or by_line(p))
@@ -598,6 +612,20 @@ def test_bulk_parse_agrees_with_line_by_line(tmp_path, monkeypatch, line, newlin
         assert outcome == result
     else:
         assert np.frombuffer(outcome[3]).tolist() == [2.0, result, result, 2.0]
+
+
+@pytest.mark.parametrize("line", ["\U0010ffff2 1 0.5", "2\xa01 0.5", "\u0663 1 0.5"],
+                         ids=["u10ffff-before-index", "u00a0-separator", "u0663-digit"])
+def test_non_ascii_data_never_reaches_loadtxt(tmp_path, monkeypatch, line):
+    # np.loadtxt can crash the interpreter on a token that begins with a high
+    # code point, so the spy records the call and never makes it
+    path = tmp_path / "n.mtx"
+    path.write_text(_SYMMETRIC_3X3.format(line), encoding="utf-8")
+    bulk = []
+    monkeypatch.setattr(operators, "_parse_coordinate_bulk", lambda *a: bulk.append(a))
+    outcome = _outcome(load_matrix_market, path)
+    assert bulk == []
+    assert outcome == _outcome(lambda p: operators._load_by_line(operators._lines(p)), path)
 
 
 @pytest.mark.parametrize("comment, parsed_in_bulk, result", [
