@@ -355,7 +355,7 @@ def result_warnings(doc: dict):
 
 def write_result(doc: dict, path):
     text = json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
@@ -363,7 +363,7 @@ def write_probe_csv(doc: dict, path):
     """Per-probe value table: one row per probe, one column per evaluator."""
     names = sorted(doc["evaluators"])
     columns = [doc["evaluators"][n]["probe_values"] for n in names]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
         fh.write(",".join(["probe"] + names) + "\n")
         for i, row in enumerate(zip(*columns)):
             fh.write(",".join([str(i)] + [repr(v) for v in row]) + "\n")

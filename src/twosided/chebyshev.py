@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,13 +156,13 @@ def save_coefficients(p: PolynomialCoefficients, path):
         "interval": [p.interval.lo, p.interval.hi],
         "coefficients": [float(a) for a in p.coeffs],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.fspath(path), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def load_coefficients(path) -> PolynomialCoefficients:
-    with open(path, encoding="utf-8") as fh:
+    with open(os.fspath(path), encoding="utf-8") as fh:
         doc = json.load(fh)
     lo, hi = doc["interval"]
     return PolynomialCoefficients(doc["basis"], doc["coefficients"], Interval(lo, hi))

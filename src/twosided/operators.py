@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import threading
 import warnings
 
@@ -132,7 +133,8 @@ class SparseSymmetric(SymmetricOperator):
     Both triangles are stored so that ``matvec`` is one row sweep, scipy's
     compiled CSR product over the operator's own arrays; the pattern and
     values must be exactly symmetric (mirror before constructing if the
-    source stores one triangle).
+    source stores one triangle). Column indices must strictly increase
+    within each row, as scipy's compiled ``has_canonical_format`` checks.
     """
 
     def __init__(self, dim, indptr, indices, data):
@@ -153,17 +155,17 @@ class SparseSymmetric(SymmetricOperator):
             raise ValueError("indptr must rise from 0 to the number of stored entries")
         if np.any(self.indices < 0) or np.any(self.indices >= self.dim):
             raise ValueError("column index out of range")
-        rows = np.repeat(np.arange(self.dim), counts)
-        keys = _keys(self.dim, rows, self.indices)
-        unordered = np.flatnonzero(np.diff(keys) <= 0)
-        if unordered.size:
-            row = int(rows[unordered[0] + 1])
-            raise ValueError(f"column indices not strictly increasing in row {row}")
-        for arr in (self.indptr, self.indices, self.data):
-            arr.setflags(write=False)
         # a view of the three arrays above, not a copy
         self._csr = scipy.sparse.csr_array((self.data, self.indices, self.indptr),
                                            shape=(self.dim, self.dim))
+        # compiled, and allocates nothing: columns strictly increase in every row
+        if not self._csr.has_canonical_format:
+            after = np.flatnonzero(np.diff(self.indices) <= 0) + 1
+            rows = np.searchsorted(self.indptr, after, side="right") - 1
+            row = int(rows[self.indptr[rows] != after][0])
+            raise ValueError(f"column indices not strictly increasing in row {row}")
+        for arr in (self.indptr, self.indices, self.data):
+            arr.setflags(write=False)
         # scipy's transpose is a counting sort, so its rows come out ordered
         mirror = self._csr.T.tocsr()
         if not (np.array_equal(mirror.indptr, self.indptr)
@@ -297,7 +299,7 @@ def load_matrix_market(path):
 
 def _lines(path):
     """The lines of a UTF-8 text file, split by ``str.splitlines``."""
-    with open(path, encoding="utf-8") as fh:
+    with open(os.fspath(path), encoding="utf-8") as fh:
         return fh.read().splitlines()
 
 

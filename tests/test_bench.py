@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from twosided import bench, quadform
 from twosided.bench import (MOMENT_TOLERANCE, _SMALL_TERM_CUTOFF, _check_moments, _max_rel_diff,
                             _term_comparison)
-from twosided.chebyshev import interpolate
+from twosided.chebyshev import interpolate, load_coefficients, save_coefficients
 from twosided.hutchinson import estimate_trace
 from twosided.operators import load_matrix_market, random_symmetric
 from twosided.spectrum import SpectralInterval
@@ -247,6 +248,28 @@ def test_path_list_and_numpy_bool_settings_are_stored_as_plain_types(tmp_path):
     config = json.loads(json.dumps(doc))["config"]
     assert (config["matrix_path"], config["evaluators"], config["terms"]) == \
         (str(mtx), ["two_sided_chebyshev"], True)
+
+
+@pytest.mark.parametrize("call, mode", [
+    (load_matrix_market, os.O_RDONLY),
+    (load_coefficients, os.O_RDONLY),
+    (lambda fd: save_coefficients(interpolate(np.exp, 1), fd), os.O_WRONLY),
+    (lambda fd: bench.write_result({"evaluators": {}}, fd), os.O_WRONLY),
+    (lambda fd: bench.write_probe_csv({"evaluators": {}}, fd), os.O_WRONLY),
+], ids=["load_matrix_market", "load_coefficients", "save_coefficients", "write_result",
+        "write_probe_csv"])
+def test_file_functions_take_a_path_not_a_descriptor(tmp_path, call, mode):
+    # open() would read or write the descriptor and then close it
+    path = tmp_path / "f"
+    path.write_text("%%MatrixMarket matrix array real symmetric\n1 1\n2.0\n")
+    fd = os.open(path, mode)
+    try:
+        with pytest.raises(TypeError):
+            call(fd)
+        os.fstat(fd)
+    finally:
+        os.close(fd)
+    assert path.read_text() == "%%MatrixMarket matrix array real symmetric\n1 1\n2.0\n"
 
 
 def test_unconverged_interval_warning_names_the_documented_margin():

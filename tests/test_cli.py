@@ -8,12 +8,13 @@ import time
 import warnings
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import twosided
-from twosided import bench
+from twosided import bench, cli
 from twosided.bench import reproduce_config
 from twosided.chebyshev import Interval, interpolate, load_coefficients
 from twosided.cli import main
@@ -773,3 +774,30 @@ def test_option_out_of_range_is_usage_error(tmp_path, capsys, args, message):
 
 def test_no_subcommand_is_usage_error():
     assert run() == 1
+
+
+def test_click_exception_is_validation_error(tmp_path, monkeypatch, capsys):
+    def fail(cfg):
+        raise click.ClickException("boom")
+    monkeypatch.setattr(cli, "run_estimate", fail)
+    assert run("estimate", "--synthetic", "10", "--out", str(tmp_path / "r.json")) == 2
+    assert capsys.readouterr().err == "Error: boom\n"
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, EOFError])
+def test_interrupt_exits_1(tmp_path, monkeypatch, interrupt):
+    # click turns both into click.Abort
+    def stop(cfg):
+        raise interrupt
+    monkeypatch.setattr(cli, "run_estimate", stop)
+    assert run("estimate", "--synthetic", "10", "--out", str(tmp_path / "r.json")) == 1
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(twosided.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "twosided.cli", "matvec-count", "--degree", "4"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["one_sided_chebyshev: 4", "one_sided_standard: 4",
+                                        "two_sided_chebyshev: 2", "two_sided_standard: 2"]

@@ -90,10 +90,39 @@ def test_sparse_rejects_asymmetric_pattern():
         SparseSymmetric.from_coo(2, [0], [1], [1.0])
 
 
-def test_sparse_rejects_unordered_row():
-    # rows 0 and 1 are in order; row 2 repeats column 1
-    with pytest.raises(ValueError, match="not strictly increasing in row 2"):
-        SparseSymmetric(3, [0, 2, 4, 6], [0, 2, 1, 2, 1, 1], np.ones(6))
+@pytest.mark.parametrize("dim, indptr, indices, row", [
+    (3, [0, 2, 4, 6], [0, 2, 1, 2, 1, 1], 2),  # rows 0 and 1 are in order
+    (3, [0, 2, 2, 4], [1, 0, 0, 1], 0),
+    (4, [0, 1, 1, 1, 3], [3, 0, 0], 3),  # the drop into row 3 skips two empty rows
+    (3, [0, 2, 3, 5], [0, 2, 0, 1, 1], 2),  # row 1 starts below row 0's last column
+], ids=["repeat-in-row-2", "descending-in-row-0", "repeat-after-empty-rows",
+        "repeat-after-a-row-start"])
+def test_sparse_rejects_unordered_row(dim, indptr, indices, row):
+    with pytest.raises(ValueError, match=f"^column indices not strictly increasing in row {row}$"):
+        SparseSymmetric(dim, indptr, indices, np.ones(len(indices)))
+
+
+def test_sparse_constructor_holds_one_copy_of_the_csr():
+    # the symmetry check's transpose is one CSR's worth; the order check adds nothing
+    d = 20000
+    rng = np.random.default_rng(0)
+    rows, cols = np.repeat(np.arange(d), 3), rng.integers(0, d, 3 * d)
+    built = SparseSymmetric.from_coo(d, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+                                     np.ones(6 * d))
+    tracemalloc.start()
+    try:
+        SparseSymmetric(d, built.indptr, built.indices, built.data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.indices.size >= 1e5
+    assert peak <= 1.25 * (built.indptr.nbytes + built.indices.nbytes + built.data.nbytes)
+
+
+def test_abstract_operator_has_no_matvec():
+    op = operators.SymmetricOperator()
+    with pytest.raises(NotImplementedError):
+        op.matvec(np.ones(1))
 
 
 def test_sparse_rejects_bad_indptr():
@@ -666,7 +695,7 @@ def test_coordinate_file_is_opened_once(tmp_path, monkeypatch, text, stored):
     monkeypatch.setattr(operators, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k),
                         raising=False)
     op = load_matrix_market(path)
-    assert opened == [path]
+    assert opened == [str(path)]
     values = op.data if isinstance(op, SparseSymmetric) else op.entries.reshape(-1)
     assert values.tolist() == stored
 
