@@ -53,7 +53,7 @@ class Interval:
 
     def to_canonical(self, x):
         """Affine map of [lo, hi] onto [-1, 1]: (2 x - (lo + hi)) / (hi - lo), the
-        arithmetic ``SymmetricOperator.scaled`` applies to the diagonal."""
+        arithmetic the storage operators' ``scaled`` applies to the diagonal."""
         return (2.0 * x - (self.lo + self.hi)) / (self.hi - self.lo)
 
     def from_canonical(self, t):

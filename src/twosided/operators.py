@@ -5,12 +5,12 @@ Operators expose ``matvec``; the matvec count is the cost unit everything
 else in this package is measured in. The two storage classes also give
 ``diagonal``, ``to_dense`` and ``scaled``, the stored copy mapped onto
 [-1, 1] that the Chebyshev evaluators run on. Operators are immutable after
-construction, with one exception: ``into_scaled`` maps a dense operator onto
-[-1, 1] in its own storage. It is for the code that built the operator,
-once nothing needs it unscaled, as ``bench.run_estimate`` does with the
-matrix it acquired. A Matrix Market file is opened, read and split into
-lines once; the bulk parser and the line-by-line reader both work on those
-lines.
+construction, with one exception: ``into_scaled`` maps an operator onto
+[-1, 1] in its own storage, or into a new sparse one where a row stores no
+diagonal entry. It is for the code that built the operator, once nothing
+needs it unscaled, as ``bench.run_estimate`` does with the matrix it
+acquired. A Matrix Market file is opened, read and split into lines once;
+the bulk parser and the line-by-line reader both work on those lines.
 """
 
 from __future__ import annotations
@@ -88,30 +88,29 @@ class DenseSymmetric(SymmetricOperator):
         return DenseSymmetric(self.entries.copy()).into_scaled(lo, hi)
 
     def into_scaled(self, lo: float, hi: float) -> DenseSymmetric:
-        """This operator, its entries overwritten with ``scaled(lo, hi)``'s, so
-        no second d x d array is made. The entries are read-only again on
-        return, and also after the ValueError of an entry that overflows,
-        which leaves them scaled and not all finite."""
-        self.entries.setflags(write=True)
-        try:
-            _scale(self.entries, np.diag_indices(self.dim), lo, hi)
-        finally:
-            self.entries.setflags(write=False)
-        return self
+        """This operator, its entries overwritten with ``scaled(lo, hi)``'s (no second
+        d x d array), and read-only again on return, as after an overflow's ValueError."""
+        return _scale(self, self.entries, np.diag_indices(self.dim), lo, hi)
 
 
-def _scale(values, diagonal, lo, hi):
-    """Set the entries ``values``, whose diagonal ``diagonal`` indexes, to
-    (2 a_ij - (lo + hi) delta_ij) / (hi - lo), computed in that order, as
-    ``Interval.to_canonical`` maps a point; ValueError when an entry is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        shift, width = lo + hi, hi - lo
-        values *= 2.0
-        values[diagonal] -= shift
-        values /= width
+def _scale(op, values, diagonal, lo, hi):
+    """``op``, its entries ``values``, whose diagonal ``diagonal`` indexes, set to
+    (2 a_ij - (lo + hi) delta_ij) / (hi - lo) in that order, as ``Interval.to_canonical``
+    maps a point. ``values`` is read-only again on return, and also after the
+    ValueError of an entry that is not finite, which leaves it scaled."""
+    values.setflags(write=True)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift, width = lo + hi, hi - lo
+            values *= 2.0
+            values[diagonal] -= shift
+            values /= width
+    finally:
+        values.setflags(write=False)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"scaling the matrix to [-1, 1] overflows double precision: "
                          f"(2 A - ({shift!r}) I) / {width!r} has an entry that is not finite")
+    return op
 
 
 def _keys(dim, rows, cols):
@@ -150,8 +149,8 @@ class SparseSymmetric(SymmetricOperator):
             raise ValueError("indptr must have length dim + 1")
         if self.indices.shape != self.data.shape:
             raise ValueError("indices and data must have equal length")
-        counts = np.diff(self.indptr)
-        if self.indptr[0] != 0 or np.any(counts < 0) or self.indptr[-1] != self.indices.size:
+        if (self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0)
+                or self.indptr[-1] != self.indices.size):
             raise ValueError("indptr must rise from 0 to the number of stored entries")
         if np.any(self.indices < 0) or np.any(self.indices >= self.dim):
             raise ValueError("column index out of range")
@@ -199,23 +198,29 @@ class SparseSymmetric(SymmetricOperator):
         return DenseSymmetric(self._csr.toarray())
 
     def scaled(self, lo: float, hi: float) -> SparseSymmetric:
-        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1].
+        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1]: a
+        new operator, built by ``into_scaled`` on a copy of the values that shares
+        the read-only ``indptr`` and ``indices``; this one is left unchanged."""
+        copy = SparseSymmetric(self.dim, self.indptr, self.indices, self.data.copy())
+        return copy.into_scaled(lo, hi)
 
-        A row that stores no diagonal entry gains one, in column order, so
-        the copy holds at most dim more entries and is built in O(nnz)."""
-        keys = _keys(self.dim, np.repeat(np.arange(self.dim), np.diff(self.indptr)),
-                     self.indices)
-        diagonal = np.arange(self.dim) * (self.dim + 1)
-        at = np.searchsorted(keys, diagonal)
-        # a diagonal key past the last stored key meets the -1 sentinel
-        missing = np.append(keys, -1)[at] != diagonal
-        keys = np.insert(keys, at[missing], diagonal[missing])
-        data = np.insert(self.data, at[missing], 0.0)
-        _scale(data, np.searchsorted(keys, diagonal), lo, hi)
-        return SparseSymmetric._from_keys(self.dim, keys, data)
-
-    # a row without a stored diagonal entry gains one, so the storage is copied
-    into_scaled = scaled
+    def into_scaled(self, lo: float, hi: float) -> SparseSymmetric:
+        """``scaled(lo, hi)``: this operator, its values overwritten, when every row
+        stores its diagonal entry. Otherwise each row that stores none gains a 0.0
+        entry, at most dim more built in O(nnz), in a new operator scaled the same way."""
+        rows = np.repeat(np.arange(self.dim), np.diff(self.indptr))
+        # columns increase in a row, so its diagonal slot follows its entries left of it
+        slot = self.indptr[:-1] + np.bincount(rows[self.indices < rows], minlength=self.dim)
+        del rows
+        stored = slot < self.indptr[1:]  # a row whose entries all lie left of it stores none
+        stored[stored] = self.indices[slot[stored]] == np.flatnonzero(stored)
+        if stored.all():
+            return _scale(self, self.data, slot, lo, hi)
+        missing = np.flatnonzero(~stored)
+        # a row gains one entry for each row above it that stores no diagonal entry
+        indptr = self.indptr + np.searchsorted(missing, np.arange(self.dim + 1))
+        return SparseSymmetric(self.dim, indptr, np.insert(self.indices, slot[missing], missing),
+                               np.insert(self.data, slot[missing], 0.0)).into_scaled(lo, hi)
 
 
 class CountingOperator(SymmetricOperator):

@@ -2,8 +2,8 @@
 
 A :class:`SpectralInterval` is a :class:`twosided.chebyshev.Interval` that also
 carries the Lanczos run's safety margin, convergence and cost. The same object
-maps f's interpolation nodes, and the storage operators' ``scaled(lo, hi)``
-maps the operator onto [-1, 1], the domain the Chebyshev evaluators need."""
+maps f's interpolation nodes, and the run's operator is mapped onto [-1, 1], the
+domain the Chebyshev evaluators need, by its ``into_scaled(lo, hi)``."""
 
 from __future__ import annotations
 

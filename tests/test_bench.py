@@ -13,7 +13,8 @@ from twosided.bench import (MOMENT_TOLERANCE, _SMALL_TERM_CUTOFF, _check_moments
                             _term_comparison)
 from twosided.chebyshev import interpolate, load_coefficients, save_coefficients
 from twosided.hutchinson import estimate_trace
-from twosided.operators import load_matrix_market, random_symmetric
+from twosided.operators import (DenseSymmetric, SparseSymmetric, load_matrix_market,
+                                random_symmetric)
 from twosided.spectrum import SpectralInterval
 
 
@@ -158,12 +159,21 @@ def capture(monkeypatch, acquire):
     return made, ran
 
 
+def stored(op):
+    """The arrays a dense or sparse operator keeps its entries in."""
+    return [op.entries] if isinstance(op, DenseSymmetric) else [op.indptr, op.indices, op.data]
+
+
 def assert_scaled_in_place(doc, made, ran, unscaled):
     (op,) = made
     assert len(ran) == 2 and all(r is op for r in ran)
     iv = doc["spectral_interval"]
-    assert op.entries.tobytes() == unscaled.scaled(iv["lo"], iv["hi"]).entries.tobytes()
-    assert not op.entries.flags.writeable
+    copy = unscaled.scaled(iv["lo"], iv["hi"])
+    assert [a.tobytes() for a in stored(op)] == [a.tobytes() for a in stored(copy)]
+    assert not any(a.flags.writeable for a in stored(op))
+    # a product that read an unscaled copy of the values would differ
+    v = np.random.default_rng(0).standard_normal(op.dim)
+    assert op.matvec(v).tobytes() == copy.matvec(v).tobytes()
 
 
 @pytest.mark.parametrize("interval", ["exact", "power", "-100,100"])
@@ -184,6 +194,18 @@ def test_an_array_file_is_scaled_in_place(monkeypatch, tmp_path, text):
     mtx.write_text(text)
     made, ran = capture(monkeypatch, "load_matrix_market")
     doc = bench.run_estimate(bench.BenchConfig(matrix_path=str(mtx), probes=3))
+    assert_scaled_in_place(doc, made, ran, load_matrix_market(mtx))
+
+
+@pytest.mark.parametrize("interval", ["exact", "power", "-100,100"])
+def test_a_coordinate_file_storing_its_diagonal_is_scaled_in_place(monkeypatch, tmp_path, interval):
+    mtx = tmp_path / "c.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n4 4 7\n"
+                   "1 1 2.0\n2 1 -1.0\n2 2 2.0\n3 2 -1.0\n3 3 2.0\n4 3 -1.0\n4 4 2.0\n")
+    made, ran = capture(monkeypatch, "load_matrix_market")
+    doc = bench.run_estimate(bench.BenchConfig(matrix_path=str(mtx), probes=3,
+                                               function="exp_scaled:0.1", interval=interval))
+    assert isinstance(made[0], SparseSymmetric)
     assert_scaled_in_place(doc, made, ran, load_matrix_market(mtx))
 
 

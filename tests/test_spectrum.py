@@ -269,34 +269,95 @@ def test_stored_scaling_is_the_affine_map(op, lo, width, seed):
 def test_stored_sparse_scaling_inserts_missing_diagonal():
     # row 0 stores its diagonal, row 1 only an off-diagonal, row 2 nothing
     op = SparseSymmetric.from_coo(3, [0, 0, 1], [0, 1, 0], [4.0, 1.0, 1.0])
-    S = op.scaled(-2.0, 6.0)
-    assert S.indptr.tolist() == [0, 2, 4, 5]
-    assert S.indices.tolist() == [0, 1, 0, 1, 2]
-    assert S.data.tolist() == [(8.0 - 4.0) / 8.0, 0.25, 0.25, -0.5, -0.5]
+    before = stored_bytes(op)
+    # into_scaled cannot insert in place, so it too builds a new operator
+    for S in (op.scaled(-2.0, 6.0), op.into_scaled(-2.0, 6.0)):
+        assert S is not op
+        assert S.indptr.tolist() == [0, 2, 4, 5]
+        assert S.indices.tolist() == [0, 1, 0, 1, 2]
+        assert S.data.tolist() == [(8.0 - 4.0) / 8.0, 0.25, 0.25, -0.5, -0.5]
+    assert stored_bytes(op) == before
 
 
 def test_stored_scaling_overflow_is_value_error():
-    op = DenseSymmetric(np.diag([1e308, -5e307]))
-    with pytest.raises(ValueError, match="overflows double precision"):
-        op.scaled(-5e307, 1e308)
+    for op in (DenseSymmetric(np.diag([1e308, -5e307])),
+               SparseSymmetric.from_coo(2, [0, 1], [0, 1], [1e308, -5e307])):
+        for scale in (op.scaled, op.into_scaled):
+            with pytest.raises(ValueError, match="overflows double precision"):
+                scale(-5e307, 1e308)
+        # the failed in-place scaling locks the values again
+        assert not any(a.flags.writeable for a in stored_arrays(op))
+
+
+def stored_arrays(op):
+    if isinstance(op, DenseSymmetric):
+        return [op.entries]
+    return [op.indptr, op.indices, op.data]
 
 
 def stored_bytes(op):
-    if isinstance(op, DenseSymmetric):
-        return [op.entries.tobytes()]
-    return [op.indptr.tobytes(), op.indices.tobytes(), op.data.tobytes()]
+    return [a.tobytes() for a in stored_arrays(op)]
 
 
 @pytest.mark.parametrize("op", [
     random_symmetric(30, 4),
     # row 1 stores no diagonal entry, so the scaled copy gains one
     SparseSymmetric.from_coo(3, [0, 0, 1, 2], [0, 1, 0, 2], [4.0, 1.0, 1.0, -2.0]),
-], ids=["dense", "sparse"])
+    # the scaled copy shares this operator's index arrays
+    SparseSymmetric.from_coo(3, [0, 0, 1, 1, 2], [0, 1, 0, 1, 2], [4.0, 1.0, 1.0, 3.0, -2.0]),
+], ids=["dense", "sparse", "sparse-full-diagonal"])
 def test_scaled_leaves_its_source_unchanged(op):
     before = stored_bytes(op)
     S = op.scaled(-3.0, 5.0)
     assert S is not op and type(S) is type(op)
     assert stored_bytes(op) == before
+
+
+def sparse_pattern(diagonal):
+    """A symmetric operator of dimension 20000 whose rows hold the entries of 5
+    random permutations, about 2e5 stored entries, plus every diagonal entry
+    when ``diagonal`` and none otherwise."""
+    d, rng = 20_000, np.random.default_rng(0)
+    i = np.tile(np.arange(d), 5)
+    j = np.concatenate([rng.permutation(d) for _ in range(5)])
+    off = i != j
+    values = rng.standard_normal(np.count_nonzero(off))
+    rows, cols, values = [i[off], j[off]], [j[off], i[off]], [values, values]
+    if diagonal:
+        rows, cols, values = rows + [np.arange(d)], cols + [np.arange(d)], values + [np.ones(d)]
+    return SparseSymmetric.from_coo(d, *map(np.concatenate, (rows, cols, values)))
+
+
+def into_scaled_peak(op):
+    """``op.into_scaled(-3, 5)`` and its tracemalloc peak over the bytes of ``op``'s CSR."""
+    csr = sum(a.nbytes for a in stored_arrays(op))
+    tracemalloc.start()
+    try:
+        S = op.into_scaled(-3.0, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return S, peak / csr
+
+
+def test_a_sparse_operator_storing_its_diagonal_is_scaled_in_its_own_storage():
+    op = sparse_pattern(diagonal=True)
+    assert op.indptr[-1] >= 1e5
+    copy = op.scaled(-3.0, 5.0)
+    S, peak = into_scaled_peak(op)
+    # the slot search's temporaries only; the parent's key rebuild read 2.68 here
+    assert S is op and peak <= 1.0
+    assert stored_bytes(S) == stored_bytes(copy)
+
+
+def test_a_sparse_operator_without_diagonal_entries_is_scaled_in_one_new_operator():
+    op = sparse_pattern(diagonal=False)
+    assert op.indptr[-1] >= 1e5
+    copy = op.scaled(-3.0, 5.0)
+    S, peak = into_scaled_peak(op)
+    # the new CSR and the constructor's transposed copy of it for the symmetry check
+    assert S is not op and peak <= 2.5
+    assert stored_bytes(S) == stored_bytes(copy)
 
 
 def test_failed_in_place_scaling_leaves_the_entries_read_only():
