@@ -119,13 +119,6 @@ def _keys(dim, rows, cols):
     return np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
 
 
-def _summed(dim, rows, cols, values):
-    """Sorted distinct keys of the triplets and their values; the values of
-    duplicate entries are summed in input order."""
-    keys, where = np.unique(_keys(dim, rows, cols), return_inverse=True)
-    return keys, np.bincount(where, weights=values, minlength=keys.size)
-
-
 class SparseSymmetric(SymmetricOperator):
     """CSR storage of the full symmetric pattern.
 
@@ -178,7 +171,8 @@ class SparseSymmetric(SymmetricOperator):
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         if np.any((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)):
             raise ValueError("row or column index out of range")
-        return cls._from_keys(dim, *_summed(dim, rows, cols, values))
+        keys, where = np.unique(_keys(dim, rows, cols), return_inverse=True)
+        return cls._from_keys(dim, keys, np.bincount(where, weights=values, minlength=keys.size))
 
     @classmethod
     def _from_keys(cls, dim, keys, data):
@@ -419,9 +413,9 @@ def _finite(values):
 
 def _symmetrized(a, at):
     """(a + at) / 2 for the entries ``a`` of a 'general' matrix and ``at`` of
-    its transpose at the same positions; they must be finite and agree to
-    1e-12 relative."""
-    scale = np.max(np.abs(a)) if a.size else 0.0
+    its transpose at the same positions, which may cover one triangle only; they
+    must be finite and agree to 1e-12 relative of the larger of max|a| and max|at|."""
+    scale = max(np.max(np.abs(a)), np.max(np.abs(at))) if a.size else 0.0
     # halving cannot overflow, and is exact above the subnormal range
     if scale and np.max(np.abs(0.5 * a - 0.5 * at)) > 0.5 * _SYMMETRY_RTOL * scale:
         raise MatrixMarketError(
@@ -452,24 +446,29 @@ def _parse_coordinate(d, nnz, entries):
 
 
 def _assemble_coordinate(d, rows, cols, vals, symmetry):
+    """The CSR operator of 0-based triplets, by one fold, one sum and one mirror.
+
+    A triplet's key is its lower-triangle position ``max·d + min``, which its mirror
+    shares, so one ``bincount`` sums each position's entries in file order. ``symmetric``
+    files keep stored zeros; ``general`` files sum A from their entries on and below the
+    diagonal and Aᵀ from those on and above it, are symmetrized, and drop exact zeros.
+    The off-diagonal keys are then mirrored once; they are distinct, so one sort orders them."""
+    keys, where = np.unique(_keys(d, np.maximum(rows, cols), np.minimum(rows, cols)),
+                            return_inverse=True)
+
+    def summed(stored=slice(None)):
+        return _finite(np.bincount(where[stored], weights=vals[stored], minlength=keys.size))
+
     if symmetry == "symmetric":
-        # each off-diagonal entry is followed by its mirror, so duplicates sum in file order
-        src = np.repeat(np.arange(rows.size), np.where(rows != cols, 2, 1))
-        mirror = np.diff(src, prepend=-1) == 0
-        rows, cols = np.where(mirror, cols[src], rows[src]), np.where(mirror, rows[src], cols[src])
-        vals = vals[src]
-    keys, vals = _summed(d, rows, cols, vals)
-    vals = _finite(vals)
-    if symmetry == "general":
-        # (A + A^T) / 2 on the union of the pattern and its mirror; exact zeros dropped
-        n = keys.size
-        keys, where = np.unique(np.concatenate([keys, _keys(d, keys % d, keys // d)]),
-                                return_inverse=True)
-        a, a_t = np.zeros((2, keys.size))
-        a[where[:n]] = vals
-        a_t[where[n:]] = vals
-        vals = _symmetrized(a, a_t)
+        vals = summed()
+    else:
+        vals = _symmetrized(summed(rows >= cols), summed(rows <= cols))
         keys, vals = keys[vals != 0], vals[vals != 0]
+    off = keys // d != keys % d
+    keys = np.concatenate([keys, _keys(d, keys[off] % d, keys[off] // d)])
+    order = np.argsort(keys)
+    keys, vals = keys[order], np.concatenate([vals, vals[off]])[order]
+    del where, order  # released before the constructor's transpose, the assembly's peak
     return SparseSymmetric._from_keys(d, keys, vals)
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twosided import operators
 from twosided.operators import (CountingOperator, DenseSymmetric,
@@ -721,3 +721,116 @@ def test_coordinate_memory_per_stored_entry(tmp_path):
     assert keys.size >= 5e4
     assert op.indptr[-1] == 2 * keys.size - np.count_nonzero(keys // d == keys % d)
     assert peak < 300 * keys.size
+
+
+_TRIPLET_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e16, -1e16, 1.7e308, -1.7e308]
+
+
+@st.composite
+def coordinate_triplets(draw):
+    """0-based triplets of a coordinate file of dimension 1..6 in file order, with
+    repeated positions, entries above the diagonal, stored zeros, cancellations and
+    sums that overflow. A 'general' file mirrors all, some or none of its entries,
+    each mirror's value equal or one ulp above, so its content may be asymmetric."""
+    symmetry = draw(st.sampled_from(["symmetric", "general"]))
+    mirror = draw(st.sampled_from(["all", "some", "none"]))
+    d = draw(st.integers(1, 6))
+    # +-1.7e308 in half the files only: nearly every general file that holds them overflows
+    values = _TRIPLET_VALUES if draw(st.booleans()) else _TRIPLET_VALUES[:-2]
+    value = st.sampled_from(values) | st.floats(-1e3, 1e3)
+    entries = []
+    for _ in range(draw(st.integers(0, 25))):
+        i, j, v = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)), draw(value)
+        entries.append((i, j, v))
+        if symmetry == "general" and (mirror == "all" or mirror == "some" and draw(st.booleans())):
+            entries.append((j, i, draw(st.sampled_from([v, float(np.nextafter(v, np.inf))]))))
+    entries = draw(st.permutations(entries))
+    rows, cols = (np.array([e[k] for e in entries], dtype=np.int64) for k in (0, 1))
+    return d, rows, cols, np.array([e[2] for e in entries], dtype=np.float64), symmetry
+
+
+def dense_assembly(d, rows, cols, vals, symmetry):
+    """The CSR arrays of the triplets, or the error message, built on a dense
+    d x d array: ``np.add.at`` sums in file order, at the folded lower-triangle
+    positions (symmetric, which keep stored zeros) or at the positions of A
+    (general, checked to 1e-12 relative and symmetrized as (A + A^T) / 2, exact
+    zeros dropped)."""
+    summed = np.zeros((d, d))
+    upper = np.triu_indices(d, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if symmetry == "symmetric":
+            folded = np.maximum(rows, cols), np.minimum(rows, cols)
+            np.add.at(summed, folded, vals)
+            stored = np.zeros((d, d), dtype=bool)
+            stored[folded] = True
+            summed[upper], stored[upper] = summed.T[upper], stored.T[upper]
+        else:
+            np.add.at(summed, (rows, cols), vals)
+        if not np.all(np.isfinite(summed)):
+            return "entries sum to a non-finite value"
+        if symmetry == "general":
+            scale = np.max(np.abs(summed))
+            if scale and np.max(np.abs(0.5 * summed - 0.5 * summed.T)) > 0.5e-12 * scale:
+                return "matrix declared 'general' is not symmetric to within 1e-12 relative"
+            summed = (summed + summed.T) / 2.0
+            if not np.all(np.isfinite(summed)):
+                return "entries sum to a non-finite value"
+            stored = summed != 0
+    r, c = np.nonzero(stored)
+    return np.searchsorted(r, np.arange(d + 1)).tolist(), c.tolist(), summed[r, c].tobytes()
+
+
+# 1e16 + 1.0 rounds to 1e16, so in file order the stored pair sums to 0.0; summing
+# 1e16 - 1e16 first would give 1.0
+_ORDER_DECIDES = (2, np.array([1, 0, 1]), np.array([0, 1, 0]), np.array([1e16, 1.0, -1e16]),
+                  "symmetric")
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@example(triplets=_ORDER_DECIDES)
+# all of A lies above the diagonal, so the check's scale must come from A^T's side
+@example(triplets=(2, np.array([0]), np.array([1]), np.array([1.0]), "general"))
+@given(triplets=coordinate_triplets())
+def test_coordinate_assembly_matches_a_dense_file_order_reference(triplets):
+    try:
+        op = operators._assemble_coordinate(*triplets)
+    except MatrixMarketError as exc:
+        outcome = str(exc)
+    else:
+        outcome = op.indptr.tolist(), op.indices.tolist(), op.data.tobytes()
+    assert outcome == dense_assembly(*triplets)
+
+
+def test_symmetric_duplicates_sum_in_file_order(tmp_path):
+    path = tmp_path / "order.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "2 2 3\n2 1 1e16\n1 2 1.0\n2 1 -1e16\n")
+    op = load_matrix_market(path)
+    assert op.indptr.tolist() == [0, 1, 2] and op.indices.tolist() == [1, 0]
+    assert op.data.tobytes() == np.zeros(2).tobytes()
+
+
+@pytest.mark.parametrize("symmetry, bound", [("symmetric", 5.0), ("general", 6.0)])
+def test_coordinate_assembly_memory(symmetry, bound):
+    # about 1.2e5 distinct lower-triangle positions; a general file stores both triangles
+    d = 12000
+    rng = np.random.default_rng(0)
+    i = np.tile(np.arange(d), 10)
+    j = np.concatenate([rng.permutation(d) for _ in range(10)])
+    keys = np.unique(np.maximum(i, j) * d + np.minimum(i, j))
+    rows, cols, vals = keys // d, keys % d, rng.standard_normal(keys.size)
+    if symmetry == "general":
+        off = rows != cols
+        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+        vals = np.concatenate([vals, vals[off]])
+    # the first call imports scipy and what numpy loads on first use
+    operators._assemble_coordinate(2, np.array([1, 0]), np.array([0, 1]), np.ones(2), symmetry)
+    tracemalloc.start()
+    try:
+        op = operators._assemble_coordinate(d, rows, cols, vals, symmetry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.size >= 1e5
+    assert op.indptr[-1] == 2 * keys.size - np.count_nonzero(keys // d == keys % d)
+    assert peak <= bound * (op.indptr.nbytes + op.indices.nbytes + op.data.nbytes)
