@@ -6,11 +6,10 @@ else in this package is measured in. The two storage classes also give
 ``diagonal``, ``to_dense`` and ``scaled``, the stored copy mapped onto
 [-1, 1] that the Chebyshev evaluators run on. Operators are immutable after
 construction, with one exception: ``into_scaled`` maps an operator onto
-[-1, 1] in its own storage, or into a new sparse one where a row stores no
-diagonal entry. It is for the code that built the operator, once nothing
-needs it unscaled, as ``bench.run_estimate`` does with the matrix it
-acquired. A Matrix Market file is opened, read and split into lines once;
-the bulk parser and the line-by-line reader both work on those lines.
+[-1, 1] in its own storage. It is for the code that built the operator,
+once nothing needs it unscaled, as ``bench.run_estimate`` does with the
+matrix it acquired. A Matrix Market file is opened, read and split into
+lines once; the bulk parser and the line-by-line reader both work on those lines.
 """
 
 from __future__ import annotations
@@ -130,40 +129,44 @@ class SparseSymmetric(SymmetricOperator):
     """
 
     def __init__(self, dim, indptr, indices, data):
+        self.dim = int(dim)
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        data = np.asarray(data, dtype=np.float64)
+        if indptr.shape != (self.dim + 1,):
+            raise ValueError("indptr must have length dim + 1")
+        if indices.shape != data.shape:
+            raise ValueError("indices and data must have equal length")
+        if (indptr[0] != 0 or np.any(np.diff(indptr) < 0)
+                or indptr[-1] != indices.size):
+            raise ValueError("indptr must rise from 0 to the number of stored entries")
+        if np.any(indices < 0) or np.any(indices >= self.dim):
+            raise ValueError("column index out of range")
+        self._hold(indptr, indices, data)
+        # compiled, and allocates nothing: columns strictly increase in every row
+        if not self._csr.has_canonical_format:
+            after = np.flatnonzero(np.diff(indices) <= 0) + 1
+            rows = np.searchsorted(indptr, after, side="right") - 1
+            row = int(rows[indptr[rows] != after][0])
+            raise ValueError(f"column indices not strictly increasing in row {row}")
+        # scipy's transpose is a counting sort, so its rows come out ordered
+        mirror = self._csr.T.tocsr()
+        if not (np.array_equal(mirror.indptr, indptr)
+                and np.array_equal(mirror.indices, indices)
+                and np.array_equal(mirror.data, data)):
+            raise ValueError("sparse pattern or values are not symmetric")
+
+    def _hold(self, indptr, indices, data):
+        """Take the three CSR arrays as this operator's storage, read-only, and
+        view them, not copy them, as ``_csr``."""
         # imported here rather than at module level, so that runs on dense
         # input never pay scipy's import time and memory
         import scipy.sparse
 
-        self.dim = int(dim)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.float64)
-        if self.indptr.shape != (self.dim + 1,):
-            raise ValueError("indptr must have length dim + 1")
-        if self.indices.shape != self.data.shape:
-            raise ValueError("indices and data must have equal length")
-        if (self.indptr[0] != 0 or np.any(np.diff(self.indptr) < 0)
-                or self.indptr[-1] != self.indices.size):
-            raise ValueError("indptr must rise from 0 to the number of stored entries")
-        if np.any(self.indices < 0) or np.any(self.indices >= self.dim):
-            raise ValueError("column index out of range")
-        # a view of the three arrays above, not a copy
-        self._csr = scipy.sparse.csr_array((self.data, self.indices, self.indptr),
-                                           shape=(self.dim, self.dim))
-        # compiled, and allocates nothing: columns strictly increase in every row
-        if not self._csr.has_canonical_format:
-            after = np.flatnonzero(np.diff(self.indices) <= 0) + 1
-            rows = np.searchsorted(self.indptr, after, side="right") - 1
-            row = int(rows[self.indptr[rows] != after][0])
-            raise ValueError(f"column indices not strictly increasing in row {row}")
-        for arr in (self.indptr, self.indices, self.data):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        for arr in (indptr, indices, data):
             arr.setflags(write=False)
-        # scipy's transpose is a counting sort, so its rows come out ordered
-        mirror = self._csr.T.tocsr()
-        if not (np.array_equal(mirror.indptr, self.indptr)
-                and np.array_equal(mirror.indices, self.indices)
-                and np.array_equal(mirror.data, self.data)):
-            raise ValueError("sparse pattern or values are not symmetric")
+        self._csr = scipy.sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
 
     @classmethod
     def from_coo(cls, dim, rows, cols, values):
@@ -192,29 +195,31 @@ class SparseSymmetric(SymmetricOperator):
         return DenseSymmetric(self._csr.toarray())
 
     def scaled(self, lo: float, hi: float) -> SparseSymmetric:
-        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1]: a
-        new operator, built by ``into_scaled`` on a copy of the values that shares
-        the read-only ``indptr`` and ``indices``; this one is left unchanged."""
+        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1]: a new
+        operator, built by ``into_scaled`` on a copy of the values that shares the
+        index arrays unless it inserts an entry; this one is left unchanged."""
         copy = SparseSymmetric(self.dim, self.indptr, self.indices, self.data.copy())
         return copy.into_scaled(lo, hi)
 
     def into_scaled(self, lo: float, hi: float) -> SparseSymmetric:
-        """``scaled(lo, hi)``: this operator, its values overwritten, when every row
-        stores its diagonal entry. Otherwise each row that stores none gains a 0.0
-        entry, at most dim more built in O(nnz), in a new operator scaled the same way."""
+        """This operator, its values overwritten with ``scaled(lo, hi)``'s. Each row that
+        stores no diagonal entry first gains a 0.0 one, at most dim more built in O(nnz),
+        in arrays this operator then holds; zeros on the diagonal keep the pattern
+        symmetric and each row's columns increasing, so neither is checked again."""
         rows = np.repeat(np.arange(self.dim), np.diff(self.indptr))
         # columns increase in a row, so its diagonal slot follows its entries left of it
         slot = self.indptr[:-1] + np.bincount(rows[self.indices < rows], minlength=self.dim)
         del rows
         stored = slot < self.indptr[1:]  # a row whose entries all lie left of it stores none
         stored[stored] = self.indices[slot[stored]] == np.flatnonzero(stored)
-        if stored.all():
-            return _scale(self, self.data, slot, lo, hi)
-        missing = np.flatnonzero(~stored)
-        # a row gains one entry for each row above it that stores no diagonal entry
-        indptr = self.indptr + np.searchsorted(missing, np.arange(self.dim + 1))
-        return SparseSymmetric(self.dim, indptr, np.insert(self.indices, slot[missing], missing),
-                               np.insert(self.data, slot[missing], 0.0)).into_scaled(lo, hi)
+        if not stored.all():
+            missing = np.flatnonzero(~stored)
+            # a row gains one entry for each row above it that stores no diagonal entry
+            shift = np.searchsorted(missing, np.arange(self.dim + 1))
+            self._hold(self.indptr + shift, np.insert(self.indices, slot[missing], missing),
+                       np.insert(self.data, slot[missing], 0.0))
+            slot += shift[:-1]
+        return _scale(self, self.data, slot, lo, hi)
 
 
 class CountingOperator(SymmetricOperator):

@@ -209,6 +209,21 @@ def test_a_coordinate_file_storing_its_diagonal_is_scaled_in_place(monkeypatch, 
     assert_scaled_in_place(doc, made, ran, load_matrix_market(mtx))
 
 
+@pytest.mark.parametrize("interval", ["exact", "power", "-100,100"])
+def test_a_coordinate_file_without_a_diagonal_entry_is_scaled_in_place(monkeypatch, tmp_path,
+                                                                       interval):
+    # row 2 stores no diagonal entry, and (4, 2) is a stored 0.0
+    mtx = tmp_path / "holes.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n4 4 6\n"
+                   "1 1 2.0\n2 1 -1.0\n3 2 0.5\n3 3 3.0\n4 2 0.0\n4 4 1.5\n")
+    made, ran = capture(monkeypatch, "load_matrix_market")
+    doc = bench.run_estimate(bench.BenchConfig(matrix_path=str(mtx), probes=3,
+                                               function="exp_scaled:0.1", interval=interval))
+    # 9 entries of the mirrored file and the inserted (2, 2)
+    assert isinstance(made[0], SparseSymmetric) and made[0].indptr[-1] == 10
+    assert_scaled_in_place(doc, made, ran, load_matrix_market(mtx))
+
+
 def test_total_matvecs_are_the_matvecs_spent(monkeypatch):
     # an evaluator that spends one matvec more per probe than the formula says
     two_sided = quadform.EVALUATORS["two_sided_chebyshev"]

@@ -270,13 +270,14 @@ def test_stored_sparse_scaling_inserts_missing_diagonal():
     # row 0 stores its diagonal, row 1 only an off-diagonal, row 2 nothing
     op = SparseSymmetric.from_coo(3, [0, 0, 1], [0, 1, 0], [4.0, 1.0, 1.0])
     before = stored_bytes(op)
-    # into_scaled cannot insert in place, so it too builds a new operator
-    for S in (op.scaled(-2.0, 6.0), op.into_scaled(-2.0, 6.0)):
-        assert S is not op
-        assert S.indptr.tolist() == [0, 2, 4, 5]
-        assert S.indices.tolist() == [0, 1, 0, 1, 2]
-        assert S.data.tolist() == [(8.0 - 4.0) / 8.0, 0.25, 0.25, -0.5, -0.5]
-    assert stored_bytes(op) == before
+    S = op.scaled(-2.0, 6.0)
+    assert S is not op and stored_bytes(op) == before
+    # into_scaled inserts the entries into the arrays of the operator it returns
+    assert op.into_scaled(-2.0, 6.0) is op
+    for result in (S, op):
+        assert result.indptr.tolist() == [0, 2, 4, 5]
+        assert result.indices.tolist() == [0, 1, 0, 1, 2]
+        assert result.data.tolist() == [(8.0 - 4.0) / 8.0, 0.25, 0.25, -0.5, -0.5]
 
 
 def test_stored_scaling_overflow_is_value_error():
@@ -350,14 +351,61 @@ def test_a_sparse_operator_storing_its_diagonal_is_scaled_in_its_own_storage():
     assert stored_bytes(S) == stored_bytes(copy)
 
 
-def test_a_sparse_operator_without_diagonal_entries_is_scaled_in_one_new_operator():
+def test_a_sparse_operator_without_diagonal_entries_holds_them_inserted_and_scaled():
     op = sparse_pattern(diagonal=False)
     assert op.indptr[-1] >= 1e5
     copy = op.scaled(-3.0, 5.0)
     S, peak = into_scaled_peak(op)
-    # the new CSR and the constructor's transposed copy of it for the symmetry check
-    assert S is not op and peak <= 2.5
+    # the inserted CSR and the slot search's temporaries, 1.45 here; a second operator,
+    # with the constructor's transposed copy of it, read 2.36
+    assert S is op and peak <= 1.6
     assert stored_bytes(S) == stored_bytes(copy)
+
+
+def random_pattern(seed):
+    """A seeded symmetric operator of dimension 1 to 12 whose random pattern may store
+    zeros. Every diagonal entry is missing when ``seed % 5 == 0``, the first when it is
+    1 and the last when it is 2; one row is empty when ``seed % 3 == 0``."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 13))
+    held = np.triu(rng.random((d, d)) < rng.uniform(0.1, 0.7), 1)
+    held |= held.T
+    diagonal = rng.random(d) < 0.8
+    diagonal[{0: slice(None), 1: 0, 2: -1}.get(seed % 5, [])] = False
+    np.fill_diagonal(held, diagonal)
+    if seed % 3 == 0:
+        empty = rng.integers(d)
+        held[empty] = held[:, empty] = False
+    values, zero = rng.standard_normal((d, d)), rng.random((d, d)) < 0.1
+    values = values + values.T
+    values[zero | zero.T] = 0.0
+    rows, cols = np.nonzero(held)
+    return SparseSymmetric.from_coo(d, rows, cols, values[rows, cols])
+
+
+def diagonal_entries_stored(op):
+    rows = np.repeat(np.arange(op.dim), np.diff(op.indptr))
+    return np.count_nonzero(op.indices == rows)
+
+
+def test_into_scaled_inserts_missing_diagonal_entries_into_the_operator_itself(monkeypatch):
+    built = []
+    init = SparseSymmetric.__init__
+    monkeypatch.setattr(SparseSymmetric, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    for seed in range(600):
+        op, rng = random_pattern(seed), np.random.default_rng(seed)
+        dense, nnz, missing = op.to_dense(), op.indptr[-1], op.dim - diagonal_entries_stored(op)
+        lo, hi = -rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)
+        built.clear()
+        assert op.into_scaled(lo, hi) is op and not built
+        assert not any(a.flags.writeable for a in stored_arrays(op))
+        assert op.indptr[-1] == nnz + missing and diagonal_entries_stored(op) == op.dim
+        # the constructor's order and symmetry checks pass on the inserted arrays
+        fresh = SparseSymmetric(op.dim, op.indptr, op.indices, op.data)
+        v = rng.standard_normal(op.dim)
+        assert op.matvec(v).tobytes() == fresh.matvec(v).tobytes()
+        assert op.to_dense().entries.tobytes() == dense.into_scaled(lo, hi).entries.tobytes()
 
 
 def test_failed_in_place_scaling_leaves_the_entries_read_only():
