@@ -8,8 +8,8 @@ else in this package is measured in. The two storage classes also give
 construction, with one exception: ``into_scaled`` maps an operator onto
 [-1, 1] in its own storage. It is for the code that built the operator,
 once nothing needs it unscaled, as ``bench.run_estimate`` does with the
-matrix it acquired. A Matrix Market file is opened, read and split into
-lines once; the bulk parser and the line-by-line reader both work on those lines.
+matrix it acquired. A Matrix Market file is opened, read, split into lines
+and its header read once; the bulk parser and the line reader share those lines.
 """
 
 from __future__ import annotations
@@ -142,31 +142,30 @@ class SparseSymmetric(SymmetricOperator):
             raise ValueError("indptr must rise from 0 to the number of stored entries")
         if np.any(indices < 0) or np.any(indices >= self.dim):
             raise ValueError("column index out of range")
-        self._hold(indptr, indices, data)
+        # an unlocked view, so that a ValueError leaves the caller's arrays writeable
+        csr = _csr(self.dim, indptr, indices, data)
         # compiled, and allocates nothing: columns strictly increase in every row
-        if not self._csr.has_canonical_format:
+        if not csr.has_canonical_format:
             after = np.flatnonzero(np.diff(indices) <= 0) + 1
             rows = np.searchsorted(indptr, after, side="right") - 1
             row = int(rows[indptr[rows] != after][0])
             raise ValueError(f"column indices not strictly increasing in row {row}")
         # scipy's transpose is a counting sort, so its rows come out ordered
-        mirror = self._csr.T.tocsr()
+        mirror = csr.T.tocsr()
         if not (np.array_equal(mirror.indptr, indptr)
                 and np.array_equal(mirror.indices, indices)
                 and np.array_equal(mirror.data, data)):
             raise ValueError("sparse pattern or values are not symmetric")
+        self._hold(indptr, indices, data)
 
     def _hold(self, indptr, indices, data):
         """Take the three CSR arrays as this operator's storage, read-only, and
-        view them, not copy them, as ``_csr``."""
-        # imported here rather than at module level, so that runs on dense
-        # input never pay scipy's import time and memory
-        import scipy.sparse
-
+        view them, not copy them, as ``_csr``; an operator derived from a checked
+        one takes its arrays here, not through the constructor's checks."""
         self.indptr, self.indices, self.data = indptr, indices, data
         for arr in (indptr, indices, data):
             arr.setflags(write=False)
-        self._csr = scipy.sparse.csr_array((data, indices, indptr), shape=(self.dim, self.dim))
+        self._csr = _csr(self.dim, indptr, indices, data)
 
     @classmethod
     def from_coo(cls, dim, rows, cols, values):
@@ -197,8 +196,11 @@ class SparseSymmetric(SymmetricOperator):
     def scaled(self, lo: float, hi: float) -> SparseSymmetric:
         """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1]: a new
         operator, built by ``into_scaled`` on a copy of the values that shares the
-        index arrays unless it inserts an entry; this one is left unchanged."""
-        copy = SparseSymmetric(self.dim, self.indptr, self.indices, self.data.copy())
+        index arrays unless it inserts an entry; this one is left unchanged. The
+        copy is held, not constructed: this operator's checks hold for it."""
+        copy = object.__new__(SparseSymmetric)
+        copy.dim = self.dim
+        copy._hold(self.indptr, self.indices, self.data.copy())
         return copy.into_scaled(lo, hi)
 
     def into_scaled(self, lo: float, hi: float) -> SparseSymmetric:
@@ -220,6 +222,13 @@ class SparseSymmetric(SymmetricOperator):
                        np.insert(self.data, slot[missing], 0.0))
             slot += shift[:-1]
         return _scale(self, self.data, slot, lo, hi)
+
+
+def _csr(dim, indptr, indices, data):
+    """scipy's d x d CSR array viewing, not copying, the three arrays."""
+    import scipy.sparse  # not at module level: dense runs never pay its import time and memory
+
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(dim, dim))
 
 
 class CountingOperator(SymmetricOperator):
@@ -281,24 +290,26 @@ def load_matrix_market(path):
     ``general`` files must hold symmetric content to within 1e-12 relative
     and are symmetrized on load.
 
-    The file is split into lines once, by ``str.splitlines``. The data lines
-    of a coordinate file, when all ASCII, are parsed by one ``np.loadtxt``
-    call. Where that parse fails or the parsed arrays fail a check, and for
-    every other file, the same lines are read one by one with ``str.split``,
-    ``int`` and ``float`` instead, so every file yields the line-by-line
-    result or its line-numbered error.
+    The file is split into lines once, by ``str.splitlines``, its header is
+    read once, and the load switches on the format once. The data lines of a
+    coordinate file, when all ASCII, are parsed by one ``np.loadtxt`` call.
+    Where that parse fails or the parsed arrays fail a check, and in every
+    array file, the lines are read one by one with ``str.split``, ``int`` and
+    ``float``, so errors name their line. Either parse feeds one assembly.
     """
     lines = _lines(path)
-    fmt, symmetry, d, nnz, size_line_no = _read_header(iter(lines))
+    fmt, symmetry, d, nnz, size_line_no = _read_header(lines)
+    if fmt == "array":
+        return _build_array(d, _data_lines(lines, size_line_no), symmetry)
     # non-ASCII data never reaches loadtxt: with the int64 triplet dtype it can
     # crash the interpreter (SIGSEGV) on a token that begins with a high code
     # point such as U+10FFFF; on ASCII lines it splits at str.split's whitespace
-    if fmt == "coordinate" and all(map(str.isascii, itertools.islice(lines, size_line_no, None))):
-        triplets = _parse_coordinate_bulk(lines, size_line_no, d, nnz)
-        if triplets is not None:
-            del lines  # else assembly's peak would hold every line, 86 B per entry more
-            return _assemble_coordinate(d, *triplets, symmetry)
-    return _load_by_line(lines)
+    bulk = all(map(str.isascii, itertools.islice(lines, size_line_no, None)))
+    triplets = _parse_coordinate_bulk(lines, size_line_no, d, nnz) if bulk else None
+    if triplets is None:
+        triplets = _parse_coordinate(d, nnz, list(_data_lines(lines, size_line_no)))
+    del lines  # else assembly's peak would hold every line, 86 B per entry more
+    return _assemble_coordinate(d, *triplets, symmetry)
 
 
 def _lines(path):
@@ -309,11 +320,11 @@ def _lines(path):
 
 def _read_header(lines):
     """Format, symmetry, dimension, entry count (None for array files) and
-    size line number, read from an iterator over a file's lines; the
-    iterator is left at the first data line."""
-    first = next(lines, None)
-    if first is None:
+    size line number of a file's lines, read once per load; the data section
+    is the lines after the size line."""
+    if not lines:
         raise MatrixMarketError("line 1: empty file")
+    first = lines[0]
     header = first.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket":
         raise MatrixMarketError(f"line 1: malformed Matrix Market header: {first!r}")
@@ -327,19 +338,15 @@ def _read_header(lines):
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(f"line 1: unsupported symmetry {symmetry!r}")
 
-    # skip comments and blank lines up to the size line
-    line_no = 1
-    for line in lines:
-        line_no += 1
-        if line.strip() and not line.lstrip().startswith("%"):
-            break
-    else:
+    # the size line is the first data line
+    line_no, tokens = next(_data_lines(lines, 1), (len(lines), None))
+    if tokens is None:
         raise MatrixMarketError(f"line {line_no}: missing size line")
     try:
-        dims = [int(t) for t in line.split()]
+        dims = [int(t) for t in tokens]
     except ValueError:
         raise MatrixMarketError(
-            f"line {line_no}: non-integer token in size line: {line!r}"
+            f"line {line_no}: non-integer token in size line: {lines[line_no - 1]!r}"
         ) from None
     expected = 3 if fmt == "coordinate" else 2
     if len(dims) != expected:
@@ -362,7 +369,7 @@ _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 def _parse_coordinate_bulk(lines, size_line_no, d, nnz):
     """0-based rows and columns and the values of the coordinate data section
     after the first ``size_line_no`` of ``lines``, parsed by one ``np.loadtxt``
-    call; None leaves the file to the line-by-line reader.
+    call; None leaves the file to the line-by-line parser, ``_parse_coordinate``.
 
     loadtxt reads a token only where ``int`` or ``float`` reads the same
     number, and fails on the others (such as ``1_000``, which both accept)
@@ -381,20 +388,12 @@ def _parse_coordinate_bulk(lines, size_line_no, d, nnz):
     return i - 1, j - 1, v.copy()
 
 
-def _load_by_line(lines):
-    """:func:`load_matrix_market` on a file's lines, read one by one."""
-    lines = iter(lines)
-    fmt, symmetry, d, nnz, size_line_no = _read_header(lines)
-    entries = []
-    for offset, raw in enumerate(lines, start=size_line_no + 1):
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        entries.append((offset, text.split()))
-
-    if fmt == "coordinate":
-        return _assemble_coordinate(d, *_parse_coordinate(d, nnz, entries), symmetry)
-    return _build_array(d, entries, symmetry)
+def _data_lines(lines, start):
+    """Line number and ``str.split`` tokens of each data line of ``lines`` from the
+    0-based ``start`` on, lazily: a line that is neither blank nor a ``%`` comment."""
+    for line_no, line in enumerate(itertools.islice(lines, start, None), start=start + 1):
+        if line.strip() and not line.lstrip().startswith("%"):
+            yield line_no, line.split()
 
 
 def _value(line_no, token, kind=float):

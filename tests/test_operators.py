@@ -119,6 +119,19 @@ def test_sparse_constructor_holds_one_copy_of_the_csr():
     assert peak <= 1.25 * (built.indptr.nbytes + built.indices.nbytes + built.data.nbytes)
 
 
+@pytest.mark.parametrize("indptr, indices, message", [
+    ([0, 2, 2], [1, 0], "column indices not strictly increasing in row 0"),
+    ([0, 1, 1], [1], "sparse pattern or values are not symmetric"),  # (0, 1) without (1, 0)
+], ids=["row-order", "symmetry"])
+def test_failed_sparse_construction_leaves_the_callers_arrays_writeable(indptr, indices, message):
+    # int64 and float64 arrays are taken without copying; the checks run before the lock
+    arrays = (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+              np.ones(len(indices)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SparseSymmetric(2, *arrays)
+    assert all(a.flags.writeable for a in arrays)
+
+
 def test_abstract_operator_has_no_matvec():
     op = operators.SymmetricOperator()
     with pytest.raises(NotImplementedError):
@@ -592,6 +605,22 @@ def _outcome(load, path):
         return str(exc)
 
 
+def _by_line(path):
+    """What ``load_matrix_market`` makes of ``path`` when the bulk parse returns None,
+    so that every coordinate file reaches the line reader."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_parse_coordinate_bulk", lambda *a: None)
+        return _outcome(load_matrix_market, path)
+
+
+def _spy_on_line_reader(monkeypatch):
+    """The list of calls that ``load_matrix_market`` makes to the line reader."""
+    parse, fallbacks = operators._parse_coordinate, []
+    monkeypatch.setattr(operators, "_parse_coordinate",
+                        lambda *a: fallbacks.append(a) or parse(*a))
+    return fallbacks
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(text=matrix_market_files())
 def test_reader_returns_operator_or_matrix_market_error(tmp_path_factory, text):
@@ -605,7 +634,7 @@ def test_reader_returns_operator_or_matrix_market_error(tmp_path_factory, text):
         assert op.dim >= 1
         outcome = _arrays(op)
     # the bulk parse of coordinate data agrees with the line-by-line reader
-    assert outcome == _outcome(lambda p: operators._load_by_line(operators._lines(p)), path)
+    assert outcome == _by_line(path)
 
 
 _SYMMETRIC_3X3 = "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n1 1 2.0\n{}\n3 3 2.0\n"
@@ -631,11 +660,10 @@ def test_bulk_parse_agrees_with_line_by_line(tmp_path, monkeypatch, line, newlin
     path = tmp_path / "q.mtx"
     path.write_text(_SYMMETRIC_3X3.format(line).replace("\n", newline), encoding="utf-8",
                     newline="")
-    by_line = operators._load_by_line
-    fallbacks = []
-    monkeypatch.setattr(operators, "_load_by_line", lambda p: fallbacks.append(p) or by_line(p))
+    reference = _by_line(path)
+    fallbacks = _spy_on_line_reader(monkeypatch)
     outcome = _outcome(load_matrix_market, path)
-    assert outcome == _outcome(lambda p: by_line(operators._lines(p)), path)
+    assert outcome == reference
     assert (not fallbacks) == parsed_in_bulk
     if isinstance(result, str):
         assert outcome == result
@@ -654,7 +682,7 @@ def test_non_ascii_data_never_reaches_loadtxt(tmp_path, monkeypatch, line):
     monkeypatch.setattr(operators, "_parse_coordinate_bulk", lambda *a: bulk.append(a))
     outcome = _outcome(load_matrix_market, path)
     assert bulk == []
-    assert outcome == _outcome(lambda p: operators._load_by_line(operators._lines(p)), path)
+    assert outcome == _by_line(path)
 
 
 @pytest.mark.parametrize("comment, parsed_in_bulk, result", [
@@ -670,11 +698,10 @@ def test_header_comment_outside_ascii(tmp_path, monkeypatch, comment, parsed_in_
     path = tmp_path / "h.mtx"
     path.write_text(f"{header}\n{comment}\n{rest}".replace("\n", newline), encoding="utf-8",
                     newline="")
-    by_line = operators._load_by_line
-    fallbacks = []
-    monkeypatch.setattr(operators, "_load_by_line", lambda p: fallbacks.append(p) or by_line(p))
+    reference = _by_line(path)
+    fallbacks = _spy_on_line_reader(monkeypatch)
     outcome = _outcome(load_matrix_market, path)
-    assert outcome == _outcome(lambda p: by_line(operators._lines(p)), path)
+    assert outcome == reference
     assert (not fallbacks) == parsed_in_bulk
     if isinstance(result, str):
         assert outcome == result
@@ -721,6 +748,26 @@ def test_coordinate_memory_per_stored_entry(tmp_path):
     assert keys.size >= 5e4
     assert op.indptr[-1] == 2 * keys.size - np.count_nonzero(keys // d == keys % d)
     assert peak < 300 * keys.size
+
+
+def test_line_reader_matches_the_bulk_parse_on_a_large_file(tmp_path, monkeypatch):
+    # one % line inside the data section sends the whole file to the line reader
+    d = 3000
+    rng = np.random.default_rng(1)
+    i = np.tile(np.arange(d), 5)
+    j = np.concatenate([rng.permutation(d) for _ in range(5)])
+    keys = np.unique(np.maximum(i, j) * d + np.minimum(i, j))
+    data = [f"{r} {c} {v!r}" for r, c, v in zip((keys // d + 1).tolist(), (keys % d + 1).tolist(),
+                                                 rng.standard_normal(keys.size).tolist())]
+    header = f"%%MatrixMarket matrix coordinate real symmetric\n{d} {d} {keys.size}\n"
+    plain, commented = tmp_path / "plain.mtx", tmp_path / "commented.mtx"
+    plain.write_text(header + "\n".join(data) + "\n")
+    commented.write_text(header + "\n".join([*data[:100], "% a comment", *data[100:]]) + "\n")
+    fallbacks = _spy_on_line_reader(monkeypatch)
+    expected = _arrays(load_matrix_market(plain))
+    assert not fallbacks
+    assert _arrays(load_matrix_market(commented)) == expected
+    assert len(fallbacks) == 1 and keys.size >= 1e4
 
 
 _TRIPLET_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e16, -1e16, 1.7e308, -1.7e308]

@@ -408,6 +408,24 @@ def test_into_scaled_inserts_missing_diagonal_entries_into_the_operator_itself(m
         assert op.to_dense().entries.tobytes() == dense.into_scaled(lo, hi).entries.tobytes()
 
 
+def test_scaled_holds_its_copy_without_a_constructor_call(monkeypatch):
+    built = []
+    init = SparseSymmetric.__init__
+    monkeypatch.setattr(SparseSymmetric, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    for seed in range(600):
+        op, rng = random_pattern(seed), np.random.default_rng(seed)
+        lo, hi = -rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)
+        built.clear()
+        S = op.scaled(lo, hi)
+        assert not built
+        expected = SparseSymmetric(op.dim, op.indptr, op.indices, op.data.copy()).into_scaled(lo, hi)
+        assert S.dim == op.dim and stored_bytes(S) == stored_bytes(expected)
+        assert not any(a.flags.writeable for a in stored_arrays(S))
+        v = rng.standard_normal(op.dim)
+        assert S.matvec(v).tobytes() == expected.matvec(v).tobytes()
+
+
 def test_failed_in_place_scaling_leaves_the_entries_read_only():
     op = DenseSymmetric(np.diag([1e308, -5e307]))
     with pytest.raises(ValueError, match="overflows double precision"):
