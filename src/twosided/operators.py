@@ -81,10 +81,12 @@ class DenseSymmetric(SymmetricOperator):
         return self
 
     def scaled(self, lo: float, hi: float) -> DenseSymmetric:
-        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1]: a
-        new operator, built by ``into_scaled`` on a copy of the entries; this
-        one is left unchanged."""
-        return DenseSymmetric(self.entries.copy()).into_scaled(lo, hi)
+        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1]: a new operator,
+        built by ``into_scaled`` on a copy of the entries; this one is left unchanged. The
+        copy is held, not constructed: the symmetry this operator was checked for holds for it."""
+        copy = object.__new__(DenseSymmetric)
+        copy.entries, copy.dim = self.entries.copy(), self.dim
+        return copy.into_scaled(lo, hi)
 
     def into_scaled(self, lo: float, hi: float) -> DenseSymmetric:
         """This operator, its entries overwritten with ``scaled(lo, hi)``'s (no second
@@ -280,6 +282,7 @@ class MatrixMarketError(ValueError):
 
 
 _SYMMETRY_RTOL = 1e-12
+_MAX_COORDINATE_DIM = math.isqrt(np.iinfo(np.int64).max)  # the largest d with d * d in int64
 
 
 def load_matrix_market(path):
@@ -306,8 +309,7 @@ def load_matrix_market(path):
     # point such as U+10FFFF; on ASCII lines it splits at str.split's whitespace
     bulk = all(map(str.isascii, itertools.islice(lines, size_line_no, None)))
     triplets = _parse_coordinate_bulk(lines, size_line_no, d, nnz) if bulk else None
-    if triplets is None:
-        triplets = _parse_coordinate(d, nnz, list(_data_lines(lines, size_line_no)))
+    triplets = triplets or _parse_coordinate(lines, size_line_no, d, nnz)
     del lines  # else assembly's peak would hold every line, 86 B per entry more
     return _assemble_coordinate(d, *triplets, symmetry)
 
@@ -319,9 +321,9 @@ def _lines(path):
 
 
 def _read_header(lines):
-    """Format, symmetry, dimension, entry count (None for array files) and
-    size line number of a file's lines, read once per load; the data section
-    is the lines after the size line."""
+    """Format, symmetry, dimension, entry count (None for array files) and size line
+    number of a file's lines, read once per load; the data section is the lines after
+    the size line. A coordinate file's dimension is at most ``_MAX_COORDINATE_DIM``."""
     if not lines:
         raise MatrixMarketError("line 1: empty file")
     first = lines[0]
@@ -360,6 +362,9 @@ def _read_header(lines):
         raise MatrixMarketError(f"line {line_no}: matrix dimension must be >= 1, got {nrows}")
     if fmt == "coordinate" and dims[2] < 0:
         raise MatrixMarketError(f"line {line_no}: entry count must be >= 0, got {dims[2]}")
+    if fmt == "coordinate" and nrows > _MAX_COORDINATE_DIM:
+        raise MatrixMarketError(f"line {line_no}: matrix dimension {nrows} is above "
+                                f"{_MAX_COORDINATE_DIM}, past which row * d + column overflows int64")
     return fmt, symmetry, nrows, (dims[2] if fmt == "coordinate" else None), line_no
 
 
@@ -429,24 +434,22 @@ def _symmetrized(a, at):
         return _finite((a + at) / 2.0)
 
 
-def _parse_coordinate(d, nnz, entries):
-    """0-based rows and columns and the values of tokenized coordinate lines."""
-    if len(entries) != nnz:
-        raise MatrixMarketError(
-            f"expected {nnz} coordinate entries, found {len(entries)}"
-        )
-    rows, cols, vals = [], [], []
-    for line_no, tokens in entries:
+def _parse_coordinate(lines, start, d, nnz):
+    """0-based rows, columns and values of the data lines of ``lines`` from the 0-based ``start``
+    on, counted against ``nnz``, then read one at a time into one ``_TRIPLET`` array."""
+    found = sum(1 for _ in _data_lines(lines, start))
+    if found != nnz:
+        raise MatrixMarketError(f"expected {nnz} coordinate entries, found {found}")
+    t = np.empty(nnz, dtype=_TRIPLET)
+    for k, (line_no, tokens) in enumerate(_data_lines(lines, start)):
         if len(tokens) != 3:
             raise MatrixMarketError(f"line {line_no}: expected 'i j value', got {len(tokens)} tokens")
         i, j = _value(line_no, tokens[0], int), _value(line_no, tokens[1], int)
         v = _value(line_no, tokens[2])
         if not (1 <= i <= d and 1 <= j <= d):
             raise MatrixMarketError(f"line {line_no}: index ({i},{j}) out of range for dimension {d}")
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(v)
-    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals)
+        t[k] = i - 1, j - 1, v
+    return t["i"], t["j"], t["v"]
 
 
 def _assemble_coordinate(d, rows, cols, vals, symmetry):
@@ -477,7 +480,8 @@ def _assemble_coordinate(d, rows, cols, vals, symmetry):
 
 
 def _build_array(d, entries, symmetry):
-    values = [_value(line_no, tok) for line_no, tokens in entries for tok in tokens]
+    """The operator of the array data lines ``entries`` (``_data_lines``), read by ``np.fromiter``."""
+    values = np.fromiter((_value(n, tok) for n, tokens in entries for tok in tokens), float)
     expected = d * (d + 1) // 2 if symmetry == "symmetric" else d * d
     if len(values) != expected:
         storage = "array values for symmetric storage" if symmetry == "symmetric" else "array values"
@@ -489,6 +493,6 @@ def _build_array(d, entries, symmetry):
         M[i, j] = values
         M[j, i] = values
     else:
-        M = np.asarray(values).reshape((d, d), order="F")
+        M = values.reshape((d, d), order="F")
         M = _symmetrized(M, M.T)
     return DenseSymmetric(M)

@@ -319,6 +319,19 @@ class TestEstimateCommand:
                    "--out", str(tmp_path / "r.json")) == 2
         assert "line 2: matrix dimension must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d", [3037000500, 2**63 - 1, 2**64],
+                             ids=["isqrt-int64-max-plus-1", "int64-max", "2**64"])
+    def test_oversized_coordinate_dimension_is_validation_error(self, tmp_path, capsys, d):
+        # row * d + column of some position overflows int64: rejected at the size line
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{d} {d} 1\n1 1 1.0\n")
+        out = tmp_path / "r.json"
+        assert run("estimate", "--matrix", str(bad), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 2: matrix dimension {d} is above 3037000499, "
+            "past which row * d + column overflows int64\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("interval", ["power", "exact"])
     def test_multiple_of_identity_is_validation_error(self, tmp_path, capsys, interval):
         mtx = tmp_path / "two.mtx"

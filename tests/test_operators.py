@@ -770,6 +770,93 @@ def test_line_reader_matches_the_bulk_parse_on_a_large_file(tmp_path, monkeypatc
     assert len(fallbacks) == 1 and keys.size >= 1e4
 
 
+def test_line_reader_memory(tmp_path):
+    # the pentadiagonal band's lower triangle, 1.25e5 CSR entries, with a % line
+    # after the size line, which sends the whole file to the line reader
+    d = 25000
+    i = np.repeat(np.arange(1, d + 1), 3)
+    j = i - np.tile([0, 1, 2], d)
+    keep = j >= 1
+    data = [f"{r} {c} {v!r}" for r, c, v in zip(i[keep].tolist(), j[keep].tolist(),
+                                                 np.where(i == j, 4.0, -1.0)[keep].tolist())]
+    header = f"%%MatrixMarket matrix coordinate real symmetric\n{d} {d} {len(data)}\n"
+    plain, commented = tmp_path / "plain.mtx", tmp_path / "commented.mtx"
+    plain.write_text(header + "\n".join(data) + "\n")
+    commented.write_text(header + "% read line by line\n" + "\n".join(data) + "\n")
+    with pytest.MonkeyPatch.context() as patch:  # the spy holds the lines, so not measured
+        fallbacks = _spy_on_line_reader(patch)
+        assert _arrays(load_matrix_market(commented)) == _arrays(load_matrix_market(plain))
+        assert len(fallbacks) == 1
+    tracemalloc.start()
+    try:
+        op = load_matrix_market(commented)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr = op.indptr.nbytes + op.indices.nbytes + op.data.nbytes
+    assert op.indptr[-1] >= 1e5
+    assert peak <= 5 * csr, f"{peak / csr:.2f} x the CSR"
+
+
+@pytest.mark.parametrize("comment", ["", "% a comment\n"], ids=["bulk-first", "commented"])
+def test_the_line_reader_checks_the_count_before_any_line(tmp_path, monkeypatch, comment):
+    # a bad token on line 5 and a wrong count: the count error, as in the bulk parse
+    path = tmp_path / "c.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n{comment}"
+                    "1 1 2.0\n2 1 oops\n3 3 2.0\n")
+    fallbacks = _spy_on_line_reader(monkeypatch)
+    assert _outcome(load_matrix_market, path) == "expected 4 coordinate entries, found 3"
+    assert len(fallbacks) == 1
+
+
+@pytest.mark.parametrize("comment", ["", "% a comment\n"], ids=["bulk-first", "commented"])
+def test_a_claimed_entry_count_allocates_nothing(tmp_path, monkeypatch, comment):
+    path = tmp_path / "c.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n3 3 1000000000000000\n"
+                    f"{comment}1 1 2.0\n2 1 0.5\n3 3 2.0\n")
+    fallbacks = _spy_on_line_reader(monkeypatch)
+    tracemalloc.start()
+    try:
+        outcome = _outcome(load_matrix_market, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == "expected 1000000000000000 coordinate entries, found 3"
+    assert len(fallbacks) == 1 and peak < 2**20
+
+
+_OVERSIZED = [3037000500, 2**63 - 1, 2**64]
+_OVERSIZED_IDS = ["isqrt-int64-max-plus-1", "int64-max", "2**64"]
+
+
+@pytest.mark.parametrize("d", _OVERSIZED, ids=_OVERSIZED_IDS)
+@pytest.mark.parametrize("symmetry", ["symmetric", "general"])
+def test_a_coordinate_dimension_past_int64_positions_is_rejected(tmp_path, d, symmetry):
+    # row * d + column of the last position overflows int64 past d = isqrt(2**63 - 1)
+    path = tmp_path / "big.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n% c\n{d} {d} 1\n"
+                    "1 1 1.0\n")
+    assert _outcome(load_matrix_market, path) == (
+        f"line 3: matrix dimension {d} is above 3037000499, "
+        "past which row * d + column overflows int64")
+
+
+@pytest.mark.parametrize("d", _OVERSIZED, ids=_OVERSIZED_IDS)
+def test_an_array_dimension_past_int64_positions_keeps_its_count_error(tmp_path, d):
+    path = tmp_path / "big.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real symmetric\n{d} {d}\n1.0\n")
+    assert _outcome(load_matrix_market, path) == (
+        f"expected {d * (d + 1) // 2} array values for symmetric storage, found 1")
+
+
+def test_the_largest_coordinate_dimension_passes_the_header():
+    # its last position (d - 1) * d + d - 1 = d * d - 1 is the largest that fits in int64
+    d = 3037000499
+    lines = ["%%MatrixMarket matrix coordinate real symmetric", f"{d} {d} 1", "1 1 1.0"]
+    assert operators._read_header(lines) == ("coordinate", "symmetric", d, 1, 2)
+    assert d * d - 1 <= np.iinfo(np.int64).max < (d + 1) ** 2 - 1
+
+
 _TRIPLET_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 1e16, -1e16, 1.7e308, -1.7e308]
 
 

@@ -426,6 +426,25 @@ def test_scaled_holds_its_copy_without_a_constructor_call(monkeypatch):
         assert S.matvec(v).tobytes() == expected.matvec(v).tobytes()
 
 
+def test_dense_scaled_holds_its_copy_without_a_constructor_call(monkeypatch):
+    built = []
+    init = DenseSymmetric.__init__
+    monkeypatch.setattr(DenseSymmetric, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    for seed in range(40):
+        op, rng = random_symmetric(1 + 3 * seed, seed), np.random.default_rng(seed)
+        lo, hi = -rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)
+        source = op.entries.tobytes()
+        built.clear()
+        S = op.scaled(lo, hi)
+        assert not built
+        expected = DenseSymmetric(op.entries.copy()).into_scaled(lo, hi)
+        assert S is not op and S.dim == op.dim
+        assert S.entries.tobytes() == expected.entries.tobytes()
+        assert not S.entries.flags.writeable
+        assert op.entries.tobytes() == source
+
+
 def test_failed_in_place_scaling_leaves_the_entries_read_only():
     op = DenseSymmetric(np.diag([1e308, -5e307]))
     with pytest.raises(ValueError, match="overflows double precision"):
