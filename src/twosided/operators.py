@@ -372,9 +372,9 @@ _TRIPLET = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def _parse_coordinate_bulk(lines, size_line_no, d, nnz):
-    """0-based rows and columns and the values of the coordinate data section
-    after the first ``size_line_no`` of ``lines``, parsed by one ``np.loadtxt``
-    call; None leaves the file to the line-by-line parser, ``_parse_coordinate``.
+    """0-based rows and columns and the values of the coordinate data section after the
+    first ``size_line_no`` of ``lines``: views of one ``_TRIPLET`` array, parsed by one
+    ``np.loadtxt`` call; None leaves the file to the line parser, ``_parse_coordinate``.
 
     loadtxt reads a token only where ``int`` or ``float`` reads the same
     number, and fails on the others (such as ``1_000``, which both accept)
@@ -390,7 +390,9 @@ def _parse_coordinate_bulk(lines, size_line_no, d, nnz):
     if (t.size != nnz or np.any((i < 1) | (i > d) | (j < 1) | (j > d))
             or not np.all(np.isfinite(v))):
         return None
-    return i - 1, j - 1, v.copy()
+    i -= 1  # in place, since every line is still held; both parsers return views
+    j -= 1
+    return i, j, v
 
 
 def _data_lines(lines, start):
