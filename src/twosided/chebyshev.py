@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -107,7 +108,8 @@ class PolynomialCoefficients:
 
 
 def chebyshev_nodes(n: int) -> np.ndarray:
-    """Extremal nodes cos(j*pi/n), j = 0..n, strictly decreasing from 1 to -1."""
+    """Extremal nodes cos(j*pi/n), j = 0..n, strictly decreasing from 1 to -1; n is an int."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"node count requires n >= 1, got n={n}")
     return np.cos(np.pi * np.arange(n + 1) / n)

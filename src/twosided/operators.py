@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import threading
 import warnings
@@ -65,7 +66,9 @@ class DenseSymmetric(SymmetricOperator):
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {entries.shape}")
         if not np.array_equal(entries, entries.T):
-            raise ValueError("matrix entries are not symmetric")
+            nan = np.argwhere(np.isnan(entries))  # NaN != NaN: a NaN entry fails the check
+            raise ValueError(f"matrix entry {tuple(nan[0].tolist())} is NaN" if nan.size
+                             else "matrix entries are not symmetric")
         self.entries = entries
         self.entries.setflags(write=False)
         self.dim = entries.shape[0]
@@ -114,6 +117,14 @@ def _scale(op, values, diagonal, lo, hi):
     return op
 
 
+def _integers(name, values):
+    """``values`` as int64, not copied if they are; a non-integer dtype is a TypeError."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be integers, got dtype {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 def _keys(dim, rows, cols):
     """Row-major int64 key ``row * dim + col`` of each entry: sorting by key
     sorts by (row, column), and ``_keys(dim, cols, rows)`` names the mirror."""
@@ -131,9 +142,8 @@ class SparseSymmetric(SymmetricOperator):
     """
 
     def __init__(self, dim, indptr, indices, data):
-        self.dim = int(dim)
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
+        self.dim = operator.index(dim)
+        indptr, indices = _integers("indptr", indptr), _integers("indices", indices)
         data = np.asarray(data, dtype=np.float64)
         if indptr.shape != (self.dim + 1,):
             raise ValueError("indptr must have length dim + 1")
@@ -157,7 +167,10 @@ class SparseSymmetric(SymmetricOperator):
         if not (np.array_equal(mirror.indptr, indptr)
                 and np.array_equal(mirror.indices, indices)
                 and np.array_equal(mirror.data, data)):
-            raise ValueError("sparse pattern or values are not symmetric")
+            nan = np.flatnonzero(np.isnan(data))  # NaN != NaN, as in DenseSymmetric
+            raise ValueError(f"matrix entry ({np.searchsorted(indptr, nan[0], side='right') - 1}, "
+                             f"{indices[nan[0]]}) is NaN" if nan.size
+                             else "sparse pattern or values are not symmetric")
         self._hold(indptr, indices, data)
 
     def _hold(self, indptr, indices, data):
@@ -172,7 +185,7 @@ class SparseSymmetric(SymmetricOperator):
     @classmethod
     def from_coo(cls, dim, rows, cols, values):
         """Build from triplets; duplicate entries are summed in input order."""
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        dim, rows, cols = operator.index(dim), _integers("rows", rows), _integers("cols", cols)
         if np.any((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)):
             raise ValueError("row or column index out of range")
         keys, where = np.unique(_keys(dim, rows, cols), return_inverse=True)

@@ -2,11 +2,11 @@ import json
 import math
 import os
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from memory import traced_bytes, traced_peak
 
 from twosided import bench, quadform
 from twosided.bench import (MOMENT_TOLERANCE, _SMALL_TERM_CUTOFF, _check_moments, _max_rel_diff,
@@ -107,16 +107,12 @@ def test_only_the_scaled_matrix_is_resident_while_the_probes_run(monkeypatch, in
     estimate_trace = bench.estimate_trace
 
     def spy(*args):
-        held.append(tracemalloc.get_traced_memory()[0])
+        held.append(traced_bytes())
         return estimate_trace(*args)
 
     monkeypatch.setattr(bench, "estimate_trace", spy)
-    tracemalloc.start()
-    try:
-        bench.run_estimate(bench.BenchConfig(synthetic_dim=d, probes=2,
-                                             function="exp_scaled:0.1", interval=interval))
-    finally:
-        tracemalloc.stop()
+    traced_peak(lambda: bench.run_estimate(bench.BenchConfig(
+        synthetic_dim=d, probes=2, function="exp_scaled:0.1", interval=interval)))
     # the scaled d x d copy, plus vectors; the unscaled matrix is gone
     assert held[0] <= 1.25 * 8 * d * d
 
@@ -129,12 +125,7 @@ def test_a_dense_run_peaks_at_one_matrix(interval):
                                interval=interval)
     bench.run_estimate(config)
     d = config.synthetic_dim = 1000
-    tracemalloc.start()
-    try:
-        bench.run_estimate(config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(bench.run_estimate, config)
     # the operator's own entries are scaled, so no second d x d array is made;
     # tracemalloc does not see eigvalsh's LAPACK work copy
     assert peak <= 1.25 * 8 * d * d

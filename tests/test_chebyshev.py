@@ -1,9 +1,9 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from memory import traced_peak
 
 from twosided.chebyshev import (CHEBYSHEV, STANDARD, Interval,
                                 PolynomialCoefficients,
@@ -40,6 +40,12 @@ class TestNodes:
     def test_n0_rejected(self):
         with pytest.raises(ValueError):
             chebyshev_nodes(0)
+
+    @pytest.mark.parametrize("nodes", [chebyshev_nodes, lambda n: interpolate(math.exp, n)],
+                             ids=["nodes", "interpolate"])
+    def test_a_float_degree_is_not_truncated(self, nodes):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            nodes(2.5)
 
     def test_strictly_decreasing(self):
         nodes = chebyshev_nodes(17)
@@ -129,12 +135,7 @@ class TestInterpolate:
 
     def test_builds_no_square_array(self):
         # an (n+1) x (n+1) array of doubles at n = 3000 is 72 MB
-        tracemalloc.start()
-        try:
-            interpolate(math.exp, 3000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(interpolate, math.exp, 3000)
         assert peak < 1e6
 
 

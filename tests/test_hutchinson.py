@@ -1,11 +1,11 @@
 import math
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
+from memory import traced_peak
 
 from twosided.chebyshev import CHEBYSHEV, STANDARD, PolynomialCoefficients, interpolate
 from twosided.hutchinson import ProbeSequence, estimate_trace, exact_trace_f
@@ -97,13 +97,12 @@ class TestProbeCache:
         m, d = 400, 20_000
         seq = ProbeSequence(1, d)
         ProbeSequence(2, d).vector(0)   # first-call allocations are not the cache
-        tracemalloc.start()
-        try:
+
+        def draw():
             for i in range(m):
                 seq.vector(i)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(draw)
         assert peak < m * d / 4
 
     def test_shared_sequence_gives_the_seeded_estimate(self):

@@ -1,9 +1,9 @@
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from memory import stored_nbytes, traced_peak
 
 from twosided import operators
 from twosided.operators import (CountingOperator, DenseSymmetric,
@@ -109,14 +109,9 @@ def test_sparse_constructor_holds_one_copy_of_the_csr():
     rows, cols = np.repeat(np.arange(d), 3), rng.integers(0, d, 3 * d)
     built = SparseSymmetric.from_coo(d, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
                                      np.ones(6 * d))
-    tracemalloc.start()
-    try:
-        SparseSymmetric(d, built.indptr, built.indices, built.data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(SparseSymmetric, d, built.indptr, built.indices, built.data)
     assert built.indices.size >= 1e5
-    assert peak <= 1.25 * (built.indptr.nbytes + built.indices.nbytes + built.data.nbytes)
+    assert peak <= 1.25 * stored_nbytes(built)
 
 
 @pytest.mark.parametrize("indptr, indices, message", [
@@ -149,10 +144,43 @@ def test_sparse_rejects_bad_indptr():
     (lambda: SparseSymmetric(2, [0, 1, 2], [0, 1], [1.0]),
      "indices and data must have equal length"),
     (lambda: SparseSymmetric(2, [0, 1, 2], [0, 2], [1.0, 1.0]), "column index out of range"),
-], ids=["dense-not-square", "short-indptr", "indices-data-lengths", "column-index"])
+    # NaN != NaN fails the symmetry checks, which name the first NaN entry instead
+    (lambda: DenseSymmetric([[np.nan, 0.0], [0.0, 1.0]]), r"matrix entry \(0, 0\) is NaN"),
+    (lambda: DenseSymmetric([[1.0, 0.0], [np.nan, np.nan]]), r"matrix entry \(1, 0\) is NaN"),
+    (lambda: SparseSymmetric(2, [0, 1, 2], [0, 1], [np.nan, 2.0]), r"matrix entry \(0, 0\) is NaN"),
+    (lambda: SparseSymmetric(3, [0, 1, 2, 4], [2, 2, 0, 1], [1.0, 1.0, 1.0, np.nan]),
+     r"matrix entry \(2, 1\) is NaN"),
+], ids=["dense-not-square", "short-indptr", "indices-data-lengths", "column-index",
+        "dense-nan-diagonal", "dense-nan-lower", "sparse-nan-diagonal", "sparse-nan-lower"])
 def test_malformed_storage_is_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+_NOT_AN_INT = "'float' object cannot be interpreted as an integer"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SparseSymmetric(2.7, [0, 1.0, 2.9], [0.7, 1.2], [1.0, 2.0]), _NOT_AN_INT),
+    (lambda: SparseSymmetric.from_coo(2.5, [0, 1], [0, 1], [1.0, 2.0]), _NOT_AN_INT),
+    (lambda: SparseSymmetric(2, [0, 1.0, 2.9], [0, 1], [1.0, 2.0]),
+     "indptr must be integers, got dtype float64"),
+    (lambda: SparseSymmetric(2, [0, 1, 2], [0.7, 1.2], [1.0, 2.0]),
+     "indices must be integers, got dtype float64"),
+    (lambda: SparseSymmetric.from_coo(2, [0.0, 1.0], [0, 1], [1.0, 2.0]),
+     "rows must be integers, got dtype float64"),
+    (lambda: SparseSymmetric.from_coo(2, [0, 1], [False, True], [1.0, 2.0]),
+     "cols must be integers, got dtype bool"),
+], ids=["dim", "from-coo-dim", "indptr", "indices", "rows", "cols"])
+def test_sparse_sizes_and_indices_are_read_as_integers_not_truncated(build, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        build()
+
+
+def test_empty_index_lists_stay_valid():
+    # an empty list reads as float64, but holds no float to truncate
+    assert SparseSymmetric(2, [0, 0, 0], [], []).indices.dtype == np.int64
+    assert SparseSymmetric.from_coo(2, [], [], []).indptr.tolist() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("row, col", [(2, 0), (0, 2), (-1, 0), (1, -1)])
@@ -260,7 +288,10 @@ def test_sparse_symmetry_check_agrees_with_mirrored_key_argsort(csr):
         SparseSymmetric(d, indptr, indices, data)
         accepted = True
     except ValueError as exc:
-        assert str(exc) == "sparse pattern or values are not symmetric"
+        # a NaN fails the check (NaN != NaN) and is named: the first stored, in row order
+        rows, nan = np.repeat(np.arange(d), np.diff(indptr)), np.flatnonzero(np.isnan(data))
+        assert str(exc) == (f"matrix entry ({rows[nan[0]]}, {indices[nan[0]]}) is NaN" if nan.size
+                            else "sparse pattern or values are not symmetric")
         accepted = False
     assert accepted == argsort_symmetric(d, indptr, indices, data)
 
@@ -290,12 +321,7 @@ class TestRandomSymmetric:
     def test_build_holds_one_matrix(self):
         d = 1000
         random_symmetric(1, 0)  # numpy.random's first use allocates outside the build
-        tracemalloc.start()
-        try:
-            random_symmetric(d, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(random_symmetric, d, 0)
         # B and its 64-row blocks; a symmetrized copy beside B would reach 2 * 8 d^2
         assert peak <= 1.25 * 8 * d * d
 
@@ -463,12 +489,7 @@ class TestMatrixMarket:
             "1 1 2.0\n"
             "1 3000 1.0\n"
             "3000 1 1.0\n")
-        tracemalloc.start()
-        try:
-            op = load_matrix_market(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        op, peak = traced_peak(load_matrix_market, path)
         assert op.dim == 3000 and op.data.tolist() == [2.0, 1.0, 1.0]
         assert peak < 8e6
 
@@ -739,12 +760,7 @@ def test_coordinate_memory_per_stored_entry(tmp_path):
         fh.write(f"%%MatrixMarket matrix coordinate real symmetric\n{d} {d} {keys.size}\n")
         np.savetxt(fh, np.column_stack([keys // d + 1, keys % d + 1, rng.standard_normal(keys.size)]),
                    fmt="%d %d %.17g")
-    tracemalloc.start()
-    try:
-        op = load_matrix_market(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    op, peak = traced_peak(load_matrix_market, path)
     assert keys.size >= 5e4
     assert op.indptr[-1] == 2 * keys.size - np.count_nonzero(keys // d == keys % d)
     assert peak < 300 * keys.size
@@ -773,13 +789,8 @@ def test_bulk_parse_memory(tmp_path, symmetry, bound):
         fallbacks = _spy_on_line_reader(patch)
         load_matrix_market(path)  # and a first use of what numpy loads lazily
         assert not fallbacks
-    tracemalloc.start()
-    try:
-        op = load_matrix_market(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    csr = op.indptr.nbytes + op.indices.nbytes + op.data.nbytes
+    op, peak = traced_peak(load_matrix_market, path)
+    csr = stored_nbytes(op)
     assert op.indptr[-1] >= 1e5
     assert peak <= bound * csr, f"{peak / csr:.2f} x the CSR"
 
@@ -821,13 +832,8 @@ def test_line_reader_memory(tmp_path):
         fallbacks = _spy_on_line_reader(patch)
         assert _arrays(load_matrix_market(commented)) == _arrays(load_matrix_market(plain))
         assert len(fallbacks) == 1
-    tracemalloc.start()
-    try:
-        op = load_matrix_market(commented)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    csr = op.indptr.nbytes + op.indices.nbytes + op.data.nbytes
+    op, peak = traced_peak(load_matrix_market, commented)
+    csr = stored_nbytes(op)
     assert op.indptr[-1] >= 1e5
     assert peak <= 5 * csr, f"{peak / csr:.2f} x the CSR"
 
@@ -849,12 +855,7 @@ def test_a_claimed_entry_count_allocates_nothing(tmp_path, monkeypatch, comment)
     path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n3 3 1000000000000000\n"
                     f"{comment}1 1 2.0\n2 1 0.5\n3 3 2.0\n")
     fallbacks = _spy_on_line_reader(monkeypatch)
-    tracemalloc.start()
-    try:
-        outcome = _outcome(load_matrix_market, path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    outcome, peak = traced_peak(_outcome, load_matrix_market, path)
     assert outcome == "expected 1000000000000000 coordinate entries, found 3"
     assert len(fallbacks) == 1 and peak < 2**20
 
@@ -993,12 +994,7 @@ def test_coordinate_assembly_memory(symmetry, bound):
         vals = np.concatenate([vals, vals[off]])
     # the first call imports scipy and what numpy loads on first use
     operators._assemble_coordinate(2, np.array([1, 0]), np.array([0, 1]), np.ones(2), symmetry)
-    tracemalloc.start()
-    try:
-        op = operators._assemble_coordinate(d, rows, cols, vals, symmetry)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    op, peak = traced_peak(operators._assemble_coordinate, d, rows, cols, vals, symmetry)
     assert rows.size >= 1e5
     assert op.indptr[-1] == 2 * keys.size - np.count_nonzero(keys // d == keys % d)
-    assert peak <= bound * (op.indptr.nbytes + op.indices.nbytes + op.data.nbytes)
+    assert peak <= bound * stored_nbytes(op)

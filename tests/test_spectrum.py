@@ -1,9 +1,9 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from memory import stored_arrays, stored_nbytes, traced_peak
 
 from twosided.chebyshev import Interval, interpolate
 from twosided.hutchinson import estimate_trace, exact_trace_f
@@ -151,13 +151,9 @@ def test_memory_stays_linear_in_dim():
     op = _Diagonal(np.linspace(1.0, 2.0, d))
 
     def peak_bytes(steps):
-        tracemalloc.start()
-        try:
-            iv = estimate_interval(op, iters=steps, tol=1e-15, seed=0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            assert iv.matvecs == steps and not iv.converged
+        iv, peak = traced_peak(lambda: estimate_interval(op, iters=steps, tol=1e-15, seed=0))
+        assert iv.matvecs == steps and not iv.converged
+        return peak
 
     short, long = peak_bytes(20), peak_bytes(200)
     assert long - short < 8 * d
@@ -290,12 +286,6 @@ def test_stored_scaling_overflow_is_value_error():
         assert not any(a.flags.writeable for a in stored_arrays(op))
 
 
-def stored_arrays(op):
-    if isinstance(op, DenseSymmetric):
-        return [op.entries]
-    return [op.indptr, op.indices, op.data]
-
-
 def stored_bytes(op):
     return [a.tobytes() for a in stored_arrays(op)]
 
@@ -341,13 +331,8 @@ def band_pattern(diagonal):
 
 def into_scaled_peak(op):
     """``op.into_scaled(-3, 5)`` and its tracemalloc peak over the bytes of ``op``'s CSR."""
-    csr = sum(a.nbytes for a in stored_arrays(op))
-    tracemalloc.start()
-    try:
-        S = op.into_scaled(-3.0, 5.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    csr = stored_nbytes(op)
+    S, peak = traced_peak(op.into_scaled, -3.0, 5.0)
     return S, peak / csr
 
 
