@@ -3,13 +3,12 @@ wrapper, seeded random matrix generation, and Matrix Market ingestion.
 
 Operators expose ``matvec``; the matvec count is the cost unit everything
 else in this package is measured in. The two storage classes also give
-``diagonal``, ``to_dense`` and ``scaled``, the stored copy mapped onto
-[-1, 1] that the Chebyshev evaluators run on. Operators are immutable after
-construction, with one exception: ``into_scaled`` maps an operator onto
-[-1, 1] in its own storage. It is for the code that built the operator,
-once nothing needs it unscaled, as ``bench.run_estimate`` does with the
-matrix it acquired. A Matrix Market file is opened, read, split into lines
-and its header read once; the bulk parser and the line reader share those lines.
+``diagonal``, ``to_dense`` and ``into_scaled``. Operators are immutable after
+construction, with one exception: ``into_scaled`` maps an operator onto [-1, 1],
+the domain the Chebyshev evaluators run on, in its own storage. It is for the code
+that built the operator, once nothing needs it unscaled, as ``bench.run_estimate``
+does with the matrix it acquired. A Matrix Market file is opened, read, split into
+lines and its header read once; the bulk parser and the line reader share those lines.
 """
 
 from __future__ import annotations
@@ -83,17 +82,10 @@ class DenseSymmetric(SymmetricOperator):
     def to_dense(self) -> DenseSymmetric:
         return self
 
-    def scaled(self, lo: float, hi: float) -> DenseSymmetric:
-        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1]: a new operator,
-        built by ``into_scaled`` on a copy of the entries; this one is left unchanged. The
-        copy is held, not constructed: the symmetry this operator was checked for holds for it."""
-        copy = object.__new__(DenseSymmetric)
-        copy.entries, copy.dim = self.entries.copy(), self.dim
-        return copy.into_scaled(lo, hi)
-
     def into_scaled(self, lo: float, hi: float) -> DenseSymmetric:
-        """This operator, its entries overwritten with ``scaled(lo, hi)``'s (no second
-        d x d array), and read-only again on return, as after an overflow's ValueError."""
+        """This operator, its entries overwritten with (2 A - (lo + hi) I) / (hi - lo), which
+        maps [lo, hi] onto [-1, 1] (no second d x d array), and read-only again on return,
+        as after an overflow's ValueError."""
         return _scale(self, self.entries, np.diag_indices(self.dim), lo, hi)
 
 
@@ -105,7 +97,7 @@ def _scale(op, values, diagonal, lo, hi):
     values.setflags(write=True)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            shift, width = lo + hi, hi - lo
+            shift, width = lo + hi, _width(lo, hi)
             values *= 2.0
             values[diagonal] -= shift
             values /= width
@@ -115,6 +107,14 @@ def _scale(op, values, diagonal, lo, hi):
         raise ValueError(f"scaling the matrix to [-1, 1] overflows double precision: "
                          f"(2 A - ({shift!r}) I) / {width!r} has an entry that is not finite")
     return op
+
+
+def _width(lo, hi):
+    """``hi - lo``, which ``_scale`` divides by; past the largest double, a ValueError."""
+    if not math.isfinite(width := float(hi) - float(lo)):
+        raise ValueError(f"scaling the matrix to [-1, 1] overflows double precision: "
+                         f"the width hi - lo of [{lo!r}, {hi!r}] is {width!r}")
+    return width
 
 
 def _integers(name, values):
@@ -143,6 +143,8 @@ class SparseSymmetric(SymmetricOperator):
 
     def __init__(self, dim, indptr, indices, data):
         self.dim = operator.index(dim)
+        if self.dim < 0:
+            raise ValueError(f"sparse dimension must be non-negative, got {self.dim}")
         indptr, indices = _integers("indptr", indptr), _integers("indices", indices)
         data = np.asarray(data, dtype=np.float64)
         if indptr.shape != (self.dim + 1,):
@@ -186,6 +188,8 @@ class SparseSymmetric(SymmetricOperator):
     def from_coo(cls, dim, rows, cols, values):
         """Build from triplets; duplicate entries are summed in input order."""
         dim, rows, cols = operator.index(dim), _integers("rows", rows), _integers("cols", cols)
+        if dim < 0:  # before the index check, which would blame the indices
+            raise ValueError(f"sparse dimension must be non-negative, got {dim}")
         if np.any((rows < 0) | (rows >= dim) | (cols < 0) | (cols >= dim)):
             raise ValueError("row or column index out of range")
         keys, where = np.unique(_keys(dim, rows, cols), return_inverse=True)
@@ -208,21 +212,12 @@ class SparseSymmetric(SymmetricOperator):
     def to_dense(self) -> DenseSymmetric:
         return DenseSymmetric(self._csr.toarray())
 
-    def scaled(self, lo: float, hi: float) -> SparseSymmetric:
-        """(2 A - (lo + hi) I) / (hi - lo), which maps [lo, hi] onto [-1, 1]: a new
-        operator, built by ``into_scaled`` on a copy of the values that shares the
-        index arrays unless it inserts an entry; this one is left unchanged. The
-        copy is held, not constructed: this operator's checks hold for it."""
-        copy = object.__new__(SparseSymmetric)
-        copy.dim = self.dim
-        copy._hold(self.indptr, self.indices, self.data.copy())
-        return copy.into_scaled(lo, hi)
-
     def into_scaled(self, lo: float, hi: float) -> SparseSymmetric:
-        """This operator, its values overwritten with ``scaled(lo, hi)``'s. Each row that
-        stores no diagonal entry first gains a 0.0 one, at most dim more built in O(nnz),
+        """This operator, its values overwritten as ``DenseSymmetric.into_scaled``'s. Each
+        row that stores no diagonal entry first gains a 0.0 one, at most dim more built in O(nnz),
         in arrays this operator then holds; zeros on the diagonal keep the pattern
         symmetric and each row's columns increasing, so neither is checked again."""
+        _width(lo, hi)  # a width past the largest double fails before an entry is inserted
         rows = np.repeat(np.arange(self.dim), np.diff(self.indptr))
         # columns increase in a row, so its diagonal slot follows its entries left of it
         slot = self.indptr[:-1] + np.bincount(rows[self.indices < rows], minlength=self.dim)

@@ -16,6 +16,9 @@ from .operators import SymmetricOperator
 
 __all__ = ["SpectralInterval", "estimate_interval", "enclosing"]
 
+# quiet in a call of its own, so no errstate is alive at a step's peak; the loop names an overflow
+_quiet_matvec = np.errstate(over="ignore", invalid="ignore")(lambda op, v: op.matvec(v))
+
 
 @dataclass(frozen=True)
 class SpectralInterval(Interval):
@@ -31,11 +34,13 @@ class SpectralInterval(Interval):
 
 def enclosing(lo: float, hi: float, safety: float = 0.0, converged: bool = True,
               matvecs: int = 0) -> SpectralInterval:
-    """[lo, hi] pushed outward by ``safety`` times its half-width; ValueError
-    when it is numerically one point c, i.e. the operator is c times I."""
+    """[lo, hi] pushed outward by ``safety`` times its half-width; ValueError when it is
+    numerically one point c, i.e. the operator is c times I, or wider than the largest double."""
     if hi - lo <= 1e-14 * max(abs(lo), abs(hi)):
         raise ValueError("degenerate spectral interval: operator is numerically a multiple "
                          f"of the identity, c*I with c = {0.5 * (lo + hi):.15g}")
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"the spectrum [{lo!r}, {hi!r}] is wider than the largest double")
     margin = 0.5 * safety * (hi - lo)
     return SpectralInterval(lo - margin, hi + margin, safety, converged, matvecs)
 
@@ -53,10 +58,10 @@ def estimate_interval(op: SymmetricOperator, iters: int = 1000, tol: float = 1e-
     margin on each side: a tighter tol buys digits that the margin covers
     anyway, for about half as many matvecs again. At a breakdown
     (beta_k = 0) T_k's eigenvalues are exact, but the start vector may lie in
-    an invariant subspace: the run restarts once from a fresh random vector
-    and ends at the second breakdown. A multiple of I raises ValueError."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    an invariant subspace: the run restarts once from a fresh random vector and ends at
+    the second breakdown. A multiple of I, dimension 0 and an overflow raise ValueError."""
+    if iters < 1 or op.dim < 1:
+        raise ValueError(f"iters and the dimension must be >= 1, got {iters} and {op.dim}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     rng, steps = np.random.default_rng(seed), min(iters, op.dim)
@@ -66,10 +71,10 @@ def estimate_interval(op: SymmetricOperator, iters: int = 1000, tol: float = 1e-
         if b == 0.0:   # first step, or after a breakdown
             v = rng.standard_normal(op.dim)
             v /= np.linalg.norm(v)
-        w = op.matvec(v) - b * v_prev
-        a = float(v @ w)
-        w -= a * v
-        b = _norm(w)
+        w = _quiet_matvec(op, v) - b * v_prev
+        a, b = _projected(v, w)
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise ValueError(f"Lanczos step {k}'s matvec overflows double precision")
         scale = max(scale, abs(a), b)
         if b <= 1e-13 * scale:
             b, breakdowns = 0.0, breakdowns + 1
@@ -88,12 +93,14 @@ def estimate_interval(op: SymmetricOperator, iters: int = 1000, tol: float = 1e-
     return enclosing(float(theta[0] - r_min), float(theta[-1] + r_max), safety, converged, k)
 
 
-def _norm(w: np.ndarray) -> float:
-    """Euclidean norm of ``w``; rescaled by max |w_i| when the sum of squares
-    may have overflowed or underflowed, as for entries near 1e+-300."""
-    with np.errstate(over="ignore"):
-        b = float(np.linalg.norm(w))
+@np.errstate(over="ignore", invalid="ignore")
+def _projected(v: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """a = v^T w and the norm b of w - a v, which overwrites ``w``; b is rescaled by max |w_i|
+    when the sum of squares may have overflowed or underflowed, as for entries near 1e+-300."""
+    a = float(v @ w)
+    w -= a * v
+    b = float(np.linalg.norm(w))
     if not 1e-140 < b < 1e140:
         top = float(np.max(np.abs(w)))
         b = top * float(np.linalg.norm(w / top)) if top else 0.0
-    return b
+    return a, b

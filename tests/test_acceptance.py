@@ -19,10 +19,10 @@ from twosided.quadform import (EVALUATORS, combine, one_sided_chebyshev,
 from twosided.spectrum import SpectralInterval, estimate_interval
 
 
-def scaled_exactly(A):
+def exactly_scaled(A):
     eigs = np.linalg.eigvalsh(A.entries)
     iv = SpectralInterval(float(eigs[0]), float(eigs[-1]), 0.0)
-    return A.scaled(iv.lo, iv.hi), (2 * eigs - eigs[0] - eigs[-1]) / (eigs[-1] - eigs[0])
+    return A.into_scaled(iv.lo, iv.hi), (2 * eigs - eigs[0] - eigs[-1]) / (eigs[-1] - eigs[0])
 
 
 def test_criterion_1_matvec_count_halving():
@@ -97,7 +97,7 @@ def test_criterion_4_per_term_agreement(desk_reproduction):
     # matrix, probes and coefficients
     cfg, iv = rep["config"], rep["spectral_interval"]
     A = random_symmetric(cfg["synthetic_dim"], cfg["seed"])
-    S = A.scaled(iv["lo"], iv["hi"])
+    S = A.into_scaled(iv["lo"], iv["hi"])
     f, domain = resolve(cfg["function"]).fn, Interval(iv["lo"], iv["hi"])
     p = interpolate(lambda t: f(domain.from_canonical(t)), cfg["degree"])
     seq = ProbeSequence(cfg["seed"], A.dim)
@@ -246,7 +246,7 @@ def test_criterion_8_interpolation_quality():
 def test_criterion_9_spectral_scaling():
     start = time.perf_counter()
     A = random_symmetric(300, 9)
-    S, scaled_eigs_pred = scaled_exactly(A)
+    S, scaled_eigs_pred = exactly_scaled(A)
     M = np.column_stack([S.matvec(e) for e in np.eye(300)])
     scaled_eigs = np.linalg.eigvalsh((M + M.T) / 2)
     assert abs(scaled_eigs[0] + 1.0) <= 1e-10
@@ -269,7 +269,7 @@ def test_criterion_9_spectral_scaling():
 def test_criterion_10_determinism(tmp_path):
     # two calls with the same arguments give the same estimate
     A = random_symmetric(50, 10)
-    S, _ = scaled_exactly(A)
+    S, _ = exactly_scaled(A)
     p = interpolate(lambda x: math.exp(10 * x), 20)
     first = estimate_trace(S, p, "two_sided_chebyshev", m=32, seed=4)
     second = estimate_trace(S, p, "two_sided_chebyshev", m=32, seed=4)

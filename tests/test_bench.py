@@ -6,15 +6,14 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from memory import traced_bytes, traced_peak
+from memory import stored_arrays, traced_bytes, traced_peak
 
 from twosided import bench, quadform
 from twosided.bench import (MOMENT_TOLERANCE, _SMALL_TERM_CUTOFF, _check_moments, _max_rel_diff,
                             _term_comparison)
 from twosided.chebyshev import interpolate, load_coefficients, save_coefficients
 from twosided.hutchinson import estimate_trace
-from twosided.operators import (DenseSymmetric, SparseSymmetric, load_matrix_market,
-                                random_symmetric)
+from twosided.operators import SparseSymmetric, load_matrix_market, random_symmetric
 from twosided.spectrum import SpectralInterval
 
 
@@ -150,21 +149,17 @@ def capture(monkeypatch, acquire):
     return made, ran
 
 
-def stored(op):
-    """The arrays a dense or sparse operator keeps its entries in."""
-    return [op.entries] if isinstance(op, DenseSymmetric) else [op.indptr, op.indices, op.data]
-
-
 def assert_scaled_in_place(doc, made, ran, unscaled):
     (op,) = made
     assert len(ran) == 2 and all(r is op for r in ran)
     iv = doc["spectral_interval"]
-    copy = unscaled.scaled(iv["lo"], iv["hi"])
-    assert [a.tobytes() for a in stored(op)] == [a.tobytes() for a in stored(copy)]
-    assert not any(a.flags.writeable for a in stored(op))
+    expected = unscaled.into_scaled(iv["lo"], iv["hi"])
+    assert ([a.tobytes() for a in stored_arrays(op)]
+            == [a.tobytes() for a in stored_arrays(expected)])
+    assert not any(a.flags.writeable for a in stored_arrays(op))
     # a product that read an unscaled copy of the values would differ
     v = np.random.default_rng(0).standard_normal(op.dim)
-    assert op.matvec(v).tobytes() == copy.matvec(v).tobytes()
+    assert op.matvec(v).tobytes() == expected.matvec(v).tobytes()
 
 
 @pytest.mark.parametrize("interval", ["exact", "power", "-100,100"])

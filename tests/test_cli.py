@@ -620,6 +620,47 @@ class TestEstimateCommand:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, interval", [
+        ("8e307", "--interval=-1.7e308,1.7e308"),
+        # Lanczos's 1% margin widens [-8.9e307, 8.9e307] past the largest double
+        ("8.9e307", "--interval=power"),
+    ], ids=["given", "power"])
+    def test_interval_wider_than_the_largest_double_is_validation_error(self, tmp_path, capsys,
+                                                                        entry, interval):
+        # dividing by hi - lo = inf zeroed the matrix, and the run reported d p(0) = 2.0
+        mtx = tmp_path / "wide.mtx"
+        mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                       f"2 2 2\n1 1 {entry}\n2 2 -{entry}\n")
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("estimate", "--matrix", str(mtx), interval, "--function",
+                       "exp_scaled:1e-308", "--probes", "4", "--out", str(out)) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert re.search(r"^error: scaling the matrix to \[-1, 1\] overflows double precision: "
+                         r"the width hi - lo of \[\S+, \S+\] is inf$",
+                         capsys.readouterr().err, re.M)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries, interval, message", [
+        # eigenvalues -5e307 and 1.5e308
+        ("4 4\n" + "0\n5e307\n5e307\n5e307\n0\n5e307\n5e307\n0\n5e307\n0\n", "exact",
+         r"the spectrum \[\S+, \S+\] is wider than the largest double"),
+        ("3 3\n" + "1e308\n" * 6, "power", r"Lanczos step \d+'s matvec overflows double precision"),
+    ], ids=["exact", "power"])
+    def test_spectrum_wider_than_the_largest_double_is_validation_error(self, tmp_path, capsys,
+                                                                        entries, interval, message):
+        mtx = tmp_path / "wide.mtx"
+        mtx.write_text("%%MatrixMarket matrix array real symmetric\n" + entries)
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("estimate", "--matrix", str(mtx), "--interval", interval, "--function",
+                       "exp_scaled:1e-308", "--probes", "4", "--out", str(out)) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert re.search(f"^error: {message}$", capsys.readouterr().err, re.M)
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_polynomial_trace_overflowing_is_validation_error(tmp_path, capsys, fmt):

@@ -145,7 +145,7 @@ class TestEstimateTrace:
     def test_moments(self):
         A = random_symmetric(30, 2)
         eigs = np.linalg.eigvalsh(A.entries)
-        S = A.scaled(float(eigs[0]), float(eigs[-1]))
+        S = A.into_scaled(float(eigs[0]), float(eigs[-1]))
         p = interpolate(lambda x: math.exp(2 * x), 9)
         est = estimate_trace(S, p, "two_sided_chebyshev", m=4, seed=6)
         assert est.moments.shape == (4, 10)
@@ -161,7 +161,7 @@ class TestEstimateTrace:
         # many probes, whose values must lead the 9-probe run's
         A = random_symmetric(40, n)
         eigs = np.linalg.eigvalsh(A.entries)
-        S = A.scaled(float(eigs[0]), float(eigs[-1]))
+        S = A.into_scaled(float(eigs[0]), float(eigs[-1]))
         p = PolynomialCoefficients(CHEBYSHEV, np.random.default_rng(n).standard_normal(n + 1))
         for name in EVALUATORS:
             coeffs = p if name.endswith("chebyshev") else PolynomialCoefficients(
@@ -182,7 +182,7 @@ class TestEstimateTrace:
     def test_single_probe_cross_method(self):
         A = random_symmetric(60, 5)
         eigs = np.linalg.eigvalsh(A.entries)
-        S = A.scaled(float(eigs[0]), float(eigs[-1]))
+        S = A.into_scaled(float(eigs[0]), float(eigs[-1]))
         p = interpolate(lambda x: math.exp(10 * x), 20)
         one = estimate_trace(S, p, "one_sided_chebyshev", m=1, seed=3)
         two = estimate_trace(S, p, "two_sided_chebyshev", m=1, seed=3)
@@ -256,7 +256,7 @@ class TestEstimateTrace:
     def test_unbiased_over_seeds(self):
         A = random_symmetric(40, 20)
         eigs = np.linalg.eigvalsh(A.entries)
-        op = A.scaled(float(eigs[0]), float(eigs[-1]))
+        op = A.into_scaled(float(eigs[0]), float(eigs[-1]))
         scaled_eigs = (2 * eigs - eigs[0] - eigs[-1]) / (eigs[-1] - eigs[0])
         p = interpolate(math.exp, 8)
         exact = sum(float(p(lam)) for lam in scaled_eigs)

@@ -183,6 +183,23 @@ def test_empty_index_lists_stay_valid():
     assert SparseSymmetric.from_coo(2, [], [], []).indptr.tolist() == [0, 0, 0]
 
 
+@pytest.mark.parametrize("dim, build", [
+    (-1, lambda: SparseSymmetric(-1, [], [], [])),
+    (-1, lambda: SparseSymmetric.from_coo(-1, [], [], [])),
+    # the dimension is named before the index check would blame the entry
+    (-1, lambda: SparseSymmetric.from_coo(-1, [0], [0], [1.0])),
+    (0, lambda: SparseSymmetric(0, [0], [], [])),
+    (0, lambda: SparseSymmetric.from_coo(0, [], [], [])),
+], ids=["negative", "negative-from-coo", "negative-from-coo-entry", "zero", "zero-from-coo"])
+def test_a_sparse_dimension_must_be_non_negative(dim, build):
+    if dim < 0:
+        with pytest.raises(ValueError, match=f"^sparse dimension must be non-negative, got {dim}$"):
+            build()
+    else:
+        op = build()
+        assert op.dim == 0 and op.matvec([]).shape == (0,)
+
+
 @pytest.mark.parametrize("row, col", [(2, 0), (0, 2), (-1, 0), (1, -1)])
 def test_from_coo_rejects_out_of_range_index(row, col):
     # a row-major key would alias (0, 2) to (1, 0) without this check

@@ -29,10 +29,10 @@ def evaluate(ev, op, z, p):
     return combine(p, ev(counter, z, p.degree)), counter.count
 
 
-def scaled_random(d, seed):
+def exactly_scaled_random(d, seed):
     A = random_symmetric(d, seed)
     eigs = np.linalg.eigvalsh(A.entries)
-    return A.scaled(float(eigs[0]), float(eigs[-1]))
+    return A.into_scaled(float(eigs[0]), float(eigs[-1]))
 
 
 class TestOneSidedStandard:
@@ -76,7 +76,7 @@ class TestTwoSidedStandard:
         A = random_symmetric(100, 2)
         z = ProbeSequence(0, 100).vector(0)
         eigs = np.linalg.eigvalsh(A.entries)
-        S = A.scaled(float(eigs[0]), float(eigs[-1]))
+        S = A.into_scaled(float(eigs[0]), float(eigs[-1]))
         alpha = np.random.default_rng(4).standard_normal(21)
         one, one_matvecs = evaluate(one_sided_standard, S, z, std(alpha))
         two, two_matvecs = evaluate(two_sided_standard, S, z, std(alpha))
@@ -102,7 +102,7 @@ class TestOneSidedChebyshev:
         A = random_symmetric(50, 3)
         eigs = np.linalg.eigvalsh(A.entries)
         lo, hi = float(eigs[0]), float(eigs[-1])
-        S = A.scaled(lo, hi)
+        S = random_symmetric(50, 3).into_scaled(lo, hi)
         M = (2 * A.entries - (lo + hi) * np.eye(50)) / (hi - lo)
         p = interpolate(math.exp, 8)
         T0, T1 = np.eye(50), M
@@ -142,7 +142,7 @@ class TestTwoSidedChebyshev:
         assert matvecs == 1
 
     def test_matches_one_sided_half_matvecs(self):
-        S = scaled_random(100, 4)
+        S = exactly_scaled_random(100, 4)
         z = ProbeSequence(1, 100).vector(0)
         p = interpolate(lambda x: math.exp(10 * x), 20)
         one, one_matvecs = evaluate(one_sided_chebyshev, S, z, p)
@@ -168,7 +168,7 @@ class TestMatvecCounts:
 class TestCrossMethodAgreement:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 25])
     def test_chebyshev(self, n):
-        S = scaled_random(80, n)
+        S = exactly_scaled_random(80, n)
         z = ProbeSequence(n, 80).vector(0)
         alpha = np.random.default_rng(n).standard_normal(n + 1)
         one, _ = evaluate(one_sided_chebyshev, S, z, cheb(alpha))
@@ -176,7 +176,7 @@ class TestCrossMethodAgreement:
         assert abs(one - two) <= 1e-10 * max(1.0, abs(one))
 
     def test_per_term(self):
-        S = scaled_random(100, 17)
+        S = exactly_scaled_random(100, 17)
         z = ProbeSequence(3, 100).vector(0)
         p = interpolate(lambda x: math.exp(10 * x), 20)
         one = p.coeffs * one_sided_chebyshev(S, z, p.degree)
@@ -191,7 +191,7 @@ class TestCrossMethodAgreement:
 
 class TestTermsInvariant:
     def test_terms_sum_to_value(self):
-        S = scaled_random(60, 8)
+        S = exactly_scaled_random(60, 8)
         z = ProbeSequence(2, 60).vector(0)
         p = interpolate(lambda x: math.exp(3 * x), 11)
         for name, ev in EVALUATORS.items():
@@ -250,7 +250,7 @@ def test_two_sided_moments_equal_one_sided(d, n, basis, seed):
 
 def test_basis_conversion_cross_check():
     # T_2 = 2x^2 - 1
-    S = scaled_random(30, 6)
+    S = exactly_scaled_random(30, 6)
     z = ProbeSequence(8, 30).vector(0)
     r_cheb, _ = evaluate(two_sided_chebyshev, S, z, cheb([0.0, 0.0, 1.0]))
     r_std, _ = evaluate(two_sided_standard, S, z, std([-1.0, 0.0, 2.0]))

@@ -9,7 +9,7 @@ from twosided.chebyshev import Interval, interpolate
 from twosided.hutchinson import estimate_trace, exact_trace_f
 from twosided.operators import (CountingOperator, DenseSymmetric, SparseSymmetric,
                                 SymmetricOperator, random_symmetric)
-from twosided.spectrum import SpectralInterval, estimate_interval
+from twosided.spectrum import SpectralInterval, enclosing, estimate_interval
 
 
 class TestEstimateInterval:
@@ -63,6 +63,26 @@ class TestEstimateInterval:
             estimate_interval(op, iters=0)
         with pytest.raises(ValueError):
             estimate_interval(op, tol=0.0)
+
+    def test_dimension_0_is_value_error(self):
+        with pytest.raises(ValueError, match="^iters and the dimension must be >= 1, got 1000 and 0$"):
+            estimate_interval(DenseSymmetric(np.zeros((0, 0))))
+
+    @pytest.mark.parametrize("op", [
+        DenseSymmetric(np.full((3, 3), 1e308)),
+        SparseSymmetric.from_coo(3, *np.nonzero(np.ones((3, 3))), np.full(9, 1e308)),
+    ], ids=["dense", "sparse"])
+    def test_overflowing_matvec_is_value_error(self, op):
+        # A v passes the largest double: a ValueError, and no numpy warning escapes
+        with pytest.raises(ValueError, match=r"^Lanczos step \d+'s matvec overflows double "
+                                             r"precision$"):
+            estimate_interval(op)
+
+    def test_spectrum_wider_than_the_largest_double_is_value_error(self):
+        # each end is a double, their distance is not
+        with pytest.raises(ValueError, match=r"^the spectrum \[-5e\+307, 1\.5e\+308\] is "
+                                             r"wider than the largest double$"):
+            enclosing(-5e307, 1.5e308)
 
     def test_deterministic_given_seed(self):
         op = random_symmetric(60, 4)
@@ -163,12 +183,12 @@ def test_memory_stays_linear_in_dim():
 class TestScaleOperator:
     def test_endpoints_map_to_unit(self):
         op = DenseSymmetric(np.diag([1.0, 3.0]))
-        S = op.scaled(1.0, 3.0)
+        S = op.into_scaled(1.0, 3.0)
         assert np.allclose(S.matvec([1.0, 1.0]), [-1.0, 1.0])
 
     def test_identity_scaling(self):
         op = random_symmetric(40, 3)
-        S = op.scaled(-1.0, 1.0)
+        S = random_symmetric(40, 3).into_scaled(-1.0, 1.0)
         rng = np.random.default_rng(0)
         for _ in range(5):
             v = rng.standard_normal(40)
@@ -178,7 +198,7 @@ class TestScaleOperator:
     def test_exact_scaling_gives_unit_extremes(self):
         op = random_symmetric(100, 8)
         eigs = np.linalg.eigvalsh(op.entries)
-        S = op.scaled(float(eigs[0]), float(eigs[-1]))
+        S = op.into_scaled(float(eigs[0]), float(eigs[-1]))
         M = np.column_stack([S.matvec(e) for e in np.eye(100)])
         scaled_eigs = np.linalg.eigvalsh((M + M.T) / 2)
         assert scaled_eigs[0] == pytest.approx(-1.0, abs=1e-10)
@@ -188,7 +208,7 @@ class TestScaleOperator:
         op = random_symmetric(50, 9)
         eigs = np.linalg.eigvalsh(op.entries)
         iv = SpectralInterval(float(eigs[0]) - 0.5, float(eigs[-1]) + 0.25, 0.0)
-        S = op.scaled(iv.lo, iv.hi)
+        S = op.into_scaled(iv.lo, iv.hi)
         M = np.column_stack([S.matvec(e) for e in np.eye(50)])
         scaled = np.linalg.eigvalsh((M + M.T) / 2)
         want = (2 * eigs - iv.lo - iv.hi) / (iv.hi - iv.lo)
@@ -214,37 +234,45 @@ def test_spectral_interval_requires_finite_ends(lo, hi):
 
 @st.composite
 def stored_operators(draw):
-    """A dense or sparse operator of dimension 1..40: a full random matrix, a
-    sparse pattern whose rows may store no diagonal entry, the empty pattern,
-    or a diagonal-only matrix."""
+    """A function that builds, at each call, the same dense or sparse operator of
+    dimension 1..40: a full random matrix, a sparse pattern whose rows may store no
+    diagonal entry, the empty pattern, or a diagonal-only matrix."""
     d = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(["dense", "sparse", "empty", "diagonal"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
     scale = 10.0 ** draw(st.integers(-100, 100))
-    M = scale * random_symmetric(d, int(rng.integers(2**32))).entries
-    if kind == "dense":
-        return DenseSymmetric(M)
-    if kind == "sparse":
-        keep = rng.random((d, d)) < draw(st.floats(0.0, 1.0))
-        M = np.where(keep | keep.T, M, 0.0)
-        if draw(st.booleans()):   # some rows store no diagonal entry
-            M[np.diag_indices(d)] *= rng.random(d) < 0.5
-    elif kind == "empty":
-        M = np.zeros((d, d))
-    else:
-        M = np.diag(np.diag(M))
-    rows, cols = np.nonzero(M)
-    return SparseSymmetric.from_coo(d, rows, cols, M[rows, cols])
+    density = draw(st.floats(0.0, 1.0)) if kind == "sparse" else None
+    holes = kind == "sparse" and draw(st.booleans())   # some rows store no diagonal entry
+
+    def build():
+        rng = np.random.default_rng(seed)
+        M = scale * random_symmetric(d, int(rng.integers(2**32))).entries
+        if kind == "dense":
+            return DenseSymmetric(M)
+        if kind == "sparse":
+            keep = rng.random((d, d)) < density
+            M = np.where(keep | keep.T, M, 0.0)
+            if holes:
+                M[np.diag_indices(d)] *= rng.random(d) < 0.5
+        elif kind == "empty":
+            M = np.zeros((d, d))
+        else:
+            M = np.diag(np.diag(M))
+        rows, cols = np.nonzero(M)
+        return SparseSymmetric.from_coo(d, rows, cols, M[rows, cols])
+
+    return build
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(op=stored_operators(), lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3),
+@given(build=stored_operators(), lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3),
        seed=st.integers(0, 2**32 - 1))
-def test_stored_scaling_is_the_affine_map(op, lo, width, seed):
+def test_stored_scaling_is_the_affine_map(build, lo, width, seed):
+    op = build()
     v = np.random.default_rng(seed).standard_normal(op.dim)
     scale = float(np.max(np.abs(op.to_dense().entries))) or 1.0
     iv = SpectralInterval(scale * lo, scale * lo + scale * width)
-    S = op.scaled(iv.lo, iv.hi)
+    S = build().into_scaled(iv.lo, iv.hi)
     assert type(S) is type(op)
     shift, w = iv.lo + iv.hi, iv.hi - iv.lo
     want = (2.0 * op.matvec(v) - shift * v) / w
@@ -252,12 +280,12 @@ def test_stored_scaling_is_the_affine_map(op, lo, width, seed):
     magnitude = (2.0 * np.abs(op.to_dense().entries) @ np.abs(v) + abs(shift) * np.abs(v)) / w
     assert np.max(np.abs(S.matvec(v) - want)) <= 1e-13 * np.max(magnitude)
     # on [-1, 1] every stored entry is a_ij itself
-    unit = op.scaled(-1.0, 1.0)
+    unit = build().into_scaled(-1.0, 1.0)
     assert type(unit) is type(op)
     assert unit.matvec(v).tobytes() == op.matvec(v).tobytes()
-    # the sparse copy's entries are the dense copy's, bit for bit
+    # the sparse scaling's entries are the dense scaling's, bit for bit
     assert (S.to_dense().entries.tobytes()
-            == op.to_dense().scaled(iv.lo, iv.hi).entries.tobytes())
+            == build().to_dense().into_scaled(iv.lo, iv.hi).entries.tobytes())
     # each diagonal entry, stored or not, is the interval's map of a_ii, bit for bit
     assert np.diag(S.to_dense().entries).tobytes() == iv.to_canonical(op.diagonal()).tobytes()
 
@@ -265,43 +293,24 @@ def test_stored_scaling_is_the_affine_map(op, lo, width, seed):
 def test_stored_sparse_scaling_inserts_missing_diagonal():
     # row 0 stores its diagonal, row 1 only an off-diagonal, row 2 nothing
     op = SparseSymmetric.from_coo(3, [0, 0, 1], [0, 1, 0], [4.0, 1.0, 1.0])
-    before = stored_bytes(op)
-    S = op.scaled(-2.0, 6.0)
-    assert S is not op and stored_bytes(op) == before
     # into_scaled inserts the entries into the arrays of the operator it returns
     assert op.into_scaled(-2.0, 6.0) is op
-    for result in (S, op):
-        assert result.indptr.tolist() == [0, 2, 4, 5]
-        assert result.indices.tolist() == [0, 1, 0, 1, 2]
-        assert result.data.tolist() == [(8.0 - 4.0) / 8.0, 0.25, 0.25, -0.5, -0.5]
+    assert op.indptr.tolist() == [0, 2, 4, 5]
+    assert op.indices.tolist() == [0, 1, 0, 1, 2]
+    assert op.data.tolist() == [(8.0 - 4.0) / 8.0, 0.25, 0.25, -0.5, -0.5]
 
 
 def test_stored_scaling_overflow_is_value_error():
     for op in (DenseSymmetric(np.diag([1e308, -5e307])),
                SparseSymmetric.from_coo(2, [0, 1], [0, 1], [1e308, -5e307])):
-        for scale in (op.scaled, op.into_scaled):
-            with pytest.raises(ValueError, match="overflows double precision"):
-                scale(-5e307, 1e308)
+        with pytest.raises(ValueError, match="overflows double precision"):
+            op.into_scaled(-5e307, 1e308)
         # the failed in-place scaling locks the values again
         assert not any(a.flags.writeable for a in stored_arrays(op))
 
 
 def stored_bytes(op):
     return [a.tobytes() for a in stored_arrays(op)]
-
-
-@pytest.mark.parametrize("op", [
-    random_symmetric(30, 4),
-    # row 1 stores no diagonal entry, so the scaled copy gains one
-    SparseSymmetric.from_coo(3, [0, 0, 1, 2], [0, 1, 0, 2], [4.0, 1.0, 1.0, -2.0]),
-    # the scaled copy shares this operator's index arrays
-    SparseSymmetric.from_coo(3, [0, 0, 1, 1, 2], [0, 1, 0, 1, 2], [4.0, 1.0, 1.0, 3.0, -2.0]),
-], ids=["dense", "sparse", "sparse-full-diagonal"])
-def test_scaled_leaves_its_source_unchanged(op):
-    before = stored_bytes(op)
-    S = op.scaled(-3.0, 5.0)
-    assert S is not op and type(S) is type(op)
-    assert stored_bytes(op) == before
 
 
 def sparse_pattern(diagonal):
@@ -338,28 +347,26 @@ def into_scaled_peak(op):
 
 @pytest.mark.parametrize("pattern", [sparse_pattern, band_pattern], ids=["permutations", "band"])
 def test_a_sparse_operator_storing_its_diagonal_is_scaled_in_its_own_storage(pattern):
-    op = pattern(diagonal=True)
+    op, expected = pattern(diagonal=True), pattern(diagonal=True).into_scaled(-3.0, 5.0)
     assert op.indptr[-1] >= 1e5
-    copy = op.scaled(-3.0, 5.0)
     S, peak = into_scaled_peak(op)
     # the slot search's temporaries only, 0.73 on the band; the parent's key rebuild
     # read 2.68 on the permutations
     assert S is op and peak <= 1.0
-    assert stored_bytes(S) == stored_bytes(copy)
+    assert stored_bytes(S) == stored_bytes(expected)
 
 
 @pytest.mark.parametrize("pattern, bound", [(sparse_pattern, 1.6), (band_pattern, 2.25)],
                          ids=["permutations", "band"])
 def test_a_sparse_operator_without_diagonal_entries_holds_them_inserted_and_scaled(pattern, bound):
-    op = pattern(diagonal=False)
+    op, expected = pattern(diagonal=False), pattern(diagonal=False).into_scaled(-3.0, 5.0)
     assert op.indptr[-1] >= 1e5
-    copy = op.scaled(-3.0, 5.0)
     S, peak = into_scaled_peak(op)
     # the inserted CSR and the slot search's temporaries, 1.45 on the permutations and
     # 1.97 on the band, whose rows gain a larger share of entries; a second operator,
     # with the constructor's transposed copy of it, read 2.36 and 2.75
     assert S is op and peak <= bound
-    assert stored_bytes(S) == stored_bytes(copy)
+    assert stored_bytes(S) == stored_bytes(expected)
 
 
 def random_pattern(seed):
@@ -408,41 +415,20 @@ def test_into_scaled_inserts_missing_diagonal_entries_into_the_operator_itself(m
         assert op.to_dense().entries.tobytes() == dense.into_scaled(lo, hi).entries.tobytes()
 
 
-def test_scaled_holds_its_copy_without_a_constructor_call(monkeypatch):
-    built = []
-    init = SparseSymmetric.__init__
-    monkeypatch.setattr(SparseSymmetric, "__init__",
-                        lambda self, *args: built.append(self) or init(self, *args))
-    for seed in range(600):
-        op, rng = random_pattern(seed), np.random.default_rng(seed)
-        lo, hi = -rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)
-        built.clear()
-        S = op.scaled(lo, hi)
-        assert not built
-        expected = SparseSymmetric(op.dim, op.indptr, op.indices, op.data.copy()).into_scaled(lo, hi)
-        assert S.dim == op.dim and stored_bytes(S) == stored_bytes(expected)
-        assert not any(a.flags.writeable for a in stored_arrays(S))
-        v = rng.standard_normal(op.dim)
-        assert S.matvec(v).tobytes() == expected.matvec(v).tobytes()
-
-
-def test_dense_scaled_holds_its_copy_without_a_constructor_call(monkeypatch):
-    built = []
-    init = DenseSymmetric.__init__
-    monkeypatch.setattr(DenseSymmetric, "__init__",
-                        lambda self, *args: built.append(self) or init(self, *args))
-    for seed in range(40):
-        op, rng = random_symmetric(1 + 3 * seed, seed), np.random.default_rng(seed)
-        lo, hi = -rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)
-        source = op.entries.tobytes()
-        built.clear()
-        S = op.scaled(lo, hi)
-        assert not built
-        expected = DenseSymmetric(op.entries.copy()).into_scaled(lo, hi)
-        assert S is not op and S.dim == op.dim
-        assert S.entries.tobytes() == expected.entries.tobytes()
-        assert not S.entries.flags.writeable
-        assert op.entries.tobytes() == source
+@pytest.mark.parametrize("op", [
+    DenseSymmetric(np.diag([8e307, -8e307])),
+    SparseSymmetric.from_coo(2, [0, 1], [0, 1], [8e307, -8e307]),
+    # row 1 stores no diagonal entry, and gains none
+    SparseSymmetric.from_coo(2, [0, 0, 1], [0, 1, 0], [8e307, 1.0, 1.0]),
+], ids=["dense", "sparse", "sparse-without-a-diagonal-entry"])
+def test_a_width_past_the_largest_double_leaves_the_entries_unchanged(op):
+    # dividing by hi - lo = inf zeroed every entry, a finite matrix that passed every check
+    before = stored_bytes(op)
+    with pytest.raises(ValueError, match=r"overflows double precision: the width hi - lo "
+                                         r"of \[-1\.7e\+308, 1\.7e\+308\] is inf$"):
+        op.into_scaled(-1.7e308, 1.7e308)
+    assert stored_bytes(op) == before
+    assert not any(a.flags.writeable for a in stored_arrays(op))
 
 
 def test_failed_in_place_scaling_leaves_the_entries_read_only():
@@ -458,7 +444,7 @@ def test_function_composition_consistency():
     A = random_symmetric(60, 12)
     eigs = np.linalg.eigvalsh(A.entries)
     lo, hi = float(eigs[0]), float(eigs[-1])
-    S = A.scaled(lo, hi)
+    S = random_symmetric(60, 12).into_scaled(lo, hi)
     f = lambda x: math.exp(0.5 * x)
     g = lambda t: f(0.5 * ((hi - lo) * t + lo + hi))
     p = interpolate(g, 25)
